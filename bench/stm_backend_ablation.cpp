@@ -12,6 +12,8 @@
 // organization automatically adds it to this ablation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -125,53 +127,81 @@ BENCHMARK(BM_Adaptive_DisjointThreads)
 
 /// Single-thread transaction overhead: the raw cost of the metadata
 /// organization with no contention at all. `spec` selects the backend by
-/// registry name; the lazy variants isolate commit-time locking cost.
+/// registry name; the lazy variants isolate commit-time locking cost. Each
+/// bench has an Executor twin running the same body through one
+/// make_executor(); the difference is what Stm::atomically adds per call
+/// (context checkout and return).
+template <bool kViaExecutor>
 void run_single_thread(benchmark::State& state, const std::string& spec) {
     const auto tm_owner = make_tm(spec);
     Stm& tm = *tm_owner;
+    const auto exec = kViaExecutor ? tm.make_executor() : nullptr;
     std::vector<TVar<long>> vars(256);
     tmb::util::Xoshiro256 rng{3};
-    for (auto _ : state) {
+    const auto one = [&](auto& via) {
         const auto a = rng.below(256);
         const auto b = rng.below(256);
-        tm.atomically([&](Transaction& tx) {
+        via.atomically([&](Transaction& tx) {
             vars[a].write(tx, vars[a].read(tx) + 1);
             vars[b].write(tx, vars[b].read(tx) + 1);
         });
+    };
+    for (auto _ : state) {
+        if constexpr (kViaExecutor) {
+            one(*exec);
+        } else {
+            one(tm);
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    if constexpr (kViaExecutor) {
+        // atomically ns/tx over Executor ns/tx, from rounds that alternate
+        // the two paths on this runtime: both halves of a round see the
+        // same host state, so the median round ratio holds up on a shared
+        // runner where the two rows' absolute ns/tx do not.
+        // tools/bench_snapshot gates it.
+        constexpr int kRounds = 9;
+        constexpr int kPerRound = 1000;
+        std::vector<double> ratios;
+        for (int round = 0; round < kRounds; ++round) {
+            const auto t0 = std::chrono::steady_clock::now();
+            for (int i = 0; i < kPerRound; ++i) one(tm);
+            const auto t1 = std::chrono::steady_clock::now();
+            for (int i = 0; i < kPerRound; ++i) one(*exec);
+            const auto t2 = std::chrono::steady_clock::now();
+            ratios.push_back(std::chrono::duration<double>(t1 - t0).count() /
+                             std::chrono::duration<double>(t2 - t1).count());
+        }
+        std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2,
+                         ratios.end());
+        state.counters["atomically_ratio"] = ratios[kRounds / 2];
+    }
 }
 
-void BM_Tagless_SingleThread(benchmark::State& state) {
-    run_single_thread(state, "table=tagless entries=64k");
-}
-void BM_Tagged_SingleThread(benchmark::State& state) {
-    run_single_thread(state, "table=tagged entries=64k");
-}
-void BM_Tl2_SingleThread(benchmark::State& state) {
-    run_single_thread(state, "backend=tl2");
-}
-void BM_TaglessLazy_SingleThread(benchmark::State& state) {
-    run_single_thread(state, "table=tagless entries=64k commit_time_locks=1");
-}
-void BM_TaggedLazy_SingleThread(benchmark::State& state) {
-    run_single_thread(state, "table=tagged entries=64k commit_time_locks=1");
-}
+/// Registers BM_<name>_SingleThread and its BM_<name>_SingleThreadExecutor
+/// twin.
+#define SINGLE_THREAD_BENCH(name, spec)                                 \
+    void BM_##name##_SingleThread(benchmark::State& state) {            \
+        run_single_thread<false>(state, spec);                          \
+    }                                                                   \
+    void BM_##name##_SingleThreadExecutor(benchmark::State& state) {    \
+        run_single_thread<true>(state, spec);                           \
+    }                                                                   \
+    BENCHMARK(BM_##name##_SingleThread);                                \
+    BENCHMARK(BM_##name##_SingleThreadExecutor)
+
+SINGLE_THREAD_BENCH(Tagless, "table=tagless entries=64k");
+SINGLE_THREAD_BENCH(Tagged, "table=tagged entries=64k");
+SINGLE_THREAD_BENCH(Atomic, "backend=atomic entries=64k");
+SINGLE_THREAD_BENCH(Tl2, "backend=tl2");
+SINGLE_THREAD_BENCH(TaglessLazy, "table=tagless entries=64k commit_time_locks=1");
+SINGLE_THREAD_BENCH(TaggedLazy, "table=tagged entries=64k commit_time_locks=1");
 /// Forwarding cost of the adaptive wrapper with the policy disabled: the
 /// delta against BM_Tagless_SingleThread is the per-access price of the
 /// epoch layer (one indirection + in-flight bookkeeping).
-void BM_AdaptiveOff_SingleThread(benchmark::State& state) {
-    run_single_thread(state,
-                      "backend=adaptive engine=table table=tagless "
-                      "entries=64k policy=off");
-}
-
-BENCHMARK(BM_Tagless_SingleThread);
-BENCHMARK(BM_Tagged_SingleThread);
-BENCHMARK(BM_Tl2_SingleThread);
-BENCHMARK(BM_TaglessLazy_SingleThread);
-BENCHMARK(BM_TaggedLazy_SingleThread);
-BENCHMARK(BM_AdaptiveOff_SingleThread);
+SINGLE_THREAD_BENCH(AdaptiveOff,
+                    "backend=adaptive engine=table table=tagless "
+                    "entries=64k policy=off");
 
 }  // namespace
 

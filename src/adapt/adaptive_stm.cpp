@@ -55,10 +55,10 @@ using Clock = std::chrono::steady_clock;
     throw std::logic_error("adaptive: inner engine must be concrete");
 }
 
-/// One generation of the wrapped engine plus its epoch counters. Contexts
-/// keep their generation alive via shared_ptr, so transactions that bound
-/// before a swap finish (and their contexts release engine slots) against
-/// the engine they started on.
+/// One generation of the wrapped engine plus its epoch counters. Checked-out
+/// contexts keep their generation alive via shared_ptr, so transactions
+/// that bound before a swap finish (and their contexts release engine
+/// slots) against the engine they started on.
 struct EngineEpoch {
     std::uint64_t seq = 0;
     StmConfig cfg;  ///< concrete (backend != kAdaptive)
@@ -74,22 +74,28 @@ struct EngineEpoch {
     Clock::time_point started = Clock::now();
 };
 
-class AdaptiveBackend;
-
-/// Context wrapper: the inner context plus the epoch it is bound to.
-/// Member order matters — inner_ must be destroyed (releasing its engine
-/// slot) before epoch_ drops the engine itself.
+/// Context wrapper: the inner context plus the epoch it is bound to. The
+/// inner context is attached to its engine exactly while this one is
+/// checked out. Only a checked-out context holds its epoch (epoch_); an
+/// idle pooled one merely observes it (bound_), so it never keeps a
+/// swapped-out engine and its table alive. A detached inner context
+/// depends on nothing of its engine and may outlive it.
 class AdaptCx final : public TxContext {
 public:
-    explicit AdaptCx(AdaptiveBackend& owner) : owner_(owner) {}
-    ~AdaptCx() override;
-
     void flush_stats() noexcept override {
         if (inner_) inner_->flush_stats();
     }
 
-    AdaptiveBackend& owner_;
+    /// Drops the (detached) inner context and its epoch.
+    void drop_inner() noexcept {
+        inner_.reset();
+        epoch_.reset();
+        bound_.reset();
+        epoch_seq_ = std::numeric_limits<std::uint64_t>::max();
+    }
+
     std::shared_ptr<EngineEpoch> epoch_;
+    std::weak_ptr<EngineEpoch> bound_;
     std::unique_ptr<TxContext> inner_;
     std::uint64_t epoch_seq_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t attempt_accesses_ = 0;
@@ -114,10 +120,37 @@ public:
     }
 
     std::unique_ptr<TxContext> make_context() override {
-        live_contexts_.fetch_add(1, std::memory_order_relaxed);
-        // Unbound: the inner context (and for table engines its TxId slot)
-        // is acquired at first begin, against whatever epoch is then live.
-        return std::make_unique<AdaptCx>(*this);
+        // Unbound: the inner context is built at first begin, against
+        // whatever epoch is then live.
+        return std::make_unique<AdaptCx>();
+    }
+
+    /// Takes the epoch back from a pooled context's weak reference; an
+    /// inner context of the live epoch is re-attached, one of a swapped-out
+    /// epoch is dropped here (begin rebinds).
+    void attach(TxContext& cx_base) noexcept override {
+        auto& cx = static_cast<AdaptCx&>(cx_base);
+        if (!cx.inner_) return;
+        cx.epoch_ = cx.bound_.lock();
+        if (cx.epoch_ &&
+            cx.epoch_seq_ == published_seq_.load(std::memory_order_acquire)) {
+            cx.epoch_->engine->attach(*cx.inner_);
+        } else {
+            cx.drop_inner();
+        }
+    }
+
+    /// Releases the inner context's TxId and lets go of its epoch; an
+    /// inner context of a swapped-out epoch is dropped outright.
+    void detach(TxContext& cx_base) noexcept override {
+        auto& cx = static_cast<AdaptCx&>(cx_base);
+        if (!cx.inner_) return;
+        cx.epoch_->engine->detach(*cx.inner_);
+        if (cx.epoch_seq_ != published_seq_.load(std::memory_order_acquire)) {
+            cx.drop_inner();
+        } else {
+            cx.epoch_.reset();
+        }
     }
 
     void begin(TxContext& cx_base) override {
@@ -205,10 +238,6 @@ public:
                " epoch=" + std::to_string(ep->seq) + ")";
     }
 
-    void context_retired() noexcept {
-        live_contexts_.fetch_sub(1, std::memory_order_relaxed);
-    }
-
 private:
     [[nodiscard]] bool at_epoch_boundary(const EngineEpoch& ep,
                                          std::uint64_t epoch_commits) const {
@@ -256,9 +285,11 @@ private:
         sample.clock_cas_failures =
             stats_.clock_cas_failures.load(std::memory_order_relaxed) -
             ep.base_clock_cas;
-        const std::uint32_t live =
-            static_cast<std::uint32_t>(live_contexts_.load(
-                std::memory_order_relaxed));
+        // The model's C is the number of checked-out contexts. The epoch's
+        // strong references are the backend's own plus one per checked-out
+        // context bound to it (idle pooled contexts hold weak ones), so
+        // they count exactly those that transact on this engine.
+        const auto live = static_cast<std::uint32_t>(epoch_.use_count() - 1);
         sample.concurrency = live ? live : 1;
         auto next = adapt::decide(policy_, ep.cfg, initial_, sample);
         if (!next) {
@@ -295,13 +326,19 @@ private:
         }
         if (cx.epoch_ != ep) {
             // Release the old engine's slot *before* acquiring on the new
-            // engine — and outside the mutex: inner make_context can block
-            // on slot exhaustion, and a parked beginner must not hold the
-            // lock the releasing side needs.
-            cx.inner_.reset();
-            cx.epoch_ = ep;
-            cx.inner_ = ep->engine->make_context();
+            // engine — and outside the mutex: inner attach can block on
+            // slot exhaustion, and a parked beginner must not hold the lock
+            // the releasing side needs.
+            if (cx.inner_) {
+                cx.epoch_->engine->detach(*cx.inner_);
+                cx.drop_inner();
+            }
+            auto inner = ep->engine->make_context();
+            ep->engine->attach(*inner);
+            cx.inner_ = std::move(inner);
+            cx.bound_ = ep;
             cx.epoch_seq_ = ep->seq;
+            cx.epoch_ = std::move(ep);
         }
     }
 
@@ -382,12 +419,7 @@ private:
     std::atomic<std::uint64_t> published_seq_{0};
     std::atomic<bool> pending_{false};
     std::atomic<std::uint64_t> in_flight_{0};
-    std::atomic<std::uint64_t> live_contexts_{0};
 };
-
-AdaptCx::~AdaptCx() {
-    owner_.context_retired();
-}
 
 }  // namespace
 

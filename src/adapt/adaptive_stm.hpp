@@ -24,9 +24,10 @@
 //      engine's metadata is fully released (occupied_metadata_entries()==0
 //      — quiescence is a hard invariant, not a hope), builds the new engine
 //      from the staged config, and republishes.
-//   3. Contexts lazily rebind: each holds a shared_ptr to the epoch it was
-//      created under, so the old engine outlives its last context even
-//      after the swap, and no transaction ever spans two engines.
+//   3. Contexts lazily rebind: a checked-out context holds a shared_ptr to
+//      the epoch it bound under, so the old engine outlives its last
+//      checked-out context even after the swap, and no transaction ever
+//      spans two engines. Idle pooled contexts hold only a weak_ptr.
 //
 // Every swap passes a kPolicySwitch scheduler yield point, so the sched
 // harness explores transitions like any other interleaving and the

@@ -39,16 +39,10 @@ struct UndoEntry {
     std::uint64_t old_value;
 };
 
-class AtomicBackend;
-
 class AtomicContext final : public TxContext {
 public:
-    AtomicContext(AtomicBackend& backend, TxId slot)
-        : backend_(backend), slot_(slot) {}
-    ~AtomicContext() override;
-
-    AtomicBackend& backend_;
-    TxId slot_;
+    /// Held only while attached (kMaxAtomicTx when idle).
+    TxId slot_ = ownership::kMaxAtomicTx;
     /// Allocation-free tx-local structures (stm/txlocal.hpp): the mode
     /// cache clears in O(1) per attempt and the undo log keeps capacity, so
     /// a steady-state transaction never touches the heap.
@@ -71,7 +65,18 @@ public:
           slots_(ownership::kMaxAtomicTx) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        return std::make_unique<AtomicContext>(*this, slots_.acquire());
+        return std::make_unique<AtomicContext>();
+    }
+
+    void attach(TxContext& cx) noexcept override {
+        static_cast<AtomicContext&>(cx).slot_ = slots_.acquire();
+    }
+
+    /// The slot's footprint is already empty: commit and abort clear it.
+    void detach(TxContext& cx_base) noexcept override {
+        auto& cx = static_cast<AtomicContext&>(cx_base);
+        slots_.release(cx.slot_);
+        cx.slot_ = ownership::kMaxAtomicTx;
     }
 
     std::uint32_t max_live_contexts() const noexcept override {
@@ -121,8 +126,6 @@ public:
         }
         release_all(cx);
     }
-
-    void release_slot(TxId slot) { slots_.release(slot); }
 
 private:
     [[nodiscard]] std::uint64_t block_of(const std::uint64_t* addr) const noexcept {
@@ -186,8 +189,6 @@ private:
     std::array<SlotFootprint, ownership::kMaxAtomicTx> footprints_;
     SlotPool slots_;
 };
-
-AtomicContext::~AtomicContext() { backend_.release_slot(slot_); }
 
 }  // namespace
 

@@ -2,11 +2,17 @@
 //
 // A backend owns the conflict-detection metadata (ownership table or
 // versioned locks) and implements the transactional load/store/commit
-// protocol. One TxContext per in-flight atomically() call carries the
-// per-transaction logs; contexts are backend-specific and reused across
-// retries of the same transaction.
+// protocol. A TxContext carries the per-transaction logs; contexts are
+// backend-specific and reused across retries and across transactions.
 //
-// Protocol per attempt:
+// Context lifecycle: make_context() builds a context once; the runtime then
+// checks it out (attach) for an Executor's lifetime or one atomically()
+// call, and returns it (detach) to a pool of idle contexts. Every backend's
+// contexts pool the same way: a TxId (ownership-table slot) is held only
+// between attach and detach, so an idle pooled context never starves
+// Executors of slots.
+//
+// Protocol per attempt (context attached):
 //   begin(cx) → { load/store }* → commit(cx) → true
 //                                            → false: validation failed, retry
 //   any load/store may throw detail::ConflictAbort → abort(cx), retry
@@ -15,6 +21,7 @@
 // threads.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,18 +43,18 @@ public:
 
     /// Folds any statistics accumulated locally in this context into the
     /// backend's shared Instrumentation block. Hot paths accumulate plain
-    /// per-context counters and the runtime flushes when a context retires
-    /// (Executor destruction, context-pool return), so per-access and
-    /// per-commit paths never touch a shared counter. Counters routed this
-    /// way are exact at quiescent points.
+    /// per-context counters; the runtime folds idle pooled contexts when
+    /// stats are read, and destruction folds too, so per-access, per-commit
+    /// and per-checkout paths never touch a shared counter. Counters routed
+    /// this way are exact at quiescent points.
     virtual void flush_stats() noexcept {}
 
     /// Binds this context to the runtime's reclamation domain: registers
     /// an epoch pin slot, sizes the free-block cache, assigns a retirement
     /// shard, and enables tx_alloc/tx_free (txalloc.hpp). The runtime binds
-    /// every context it hands to a Transaction; the adaptive wrapper's
-    /// *inner* contexts stay unbound (only the outer context is ever
-    /// visible to the attempt loop).
+    /// every context it builds, once; the binding survives pooling. The
+    /// adaptive wrapper's *inner* contexts stay unbound (only the outer
+    /// context is ever visible to the attempt loop).
     void bind_reclaim(ReclaimDomain& domain) {
         reclaim_domain = &domain;
         reclaim_slot = domain.register_slot();
@@ -69,6 +76,13 @@ public:
     std::uint32_t reclaim_shard = 0;
     /// Commits since the last reclamation poll (maintain() cadence).
     std::uint32_t maintain_tick = 0;
+    /// Contention-manager jitter seed, advanced per transaction; seeded
+    /// once, when the runtime builds the context.
+    std::uint64_t cm_seed = 0;
+    /// The runtime pool slot this context parks in, reserved for it while
+    /// an atomically() call has it out; null while it has none (new, or
+    /// held by an Executor).
+    std::atomic<TxContext*>* pool_slot = nullptr;
 };
 
 /// Metadata-organization-specific transactional engine.
@@ -76,8 +90,23 @@ class Backend {
 public:
     virtual ~Backend() = default;
 
-    /// Creates a context for one atomically() call (reused across retries).
+    /// Builds a detached context. The runtime calls this only when its pool
+    /// of idle contexts has none to hand out, binds the result to the
+    /// reclamation domain, and reuses it for many checkouts; a context must
+    /// therefore hold no TxId or other per-checkout resource when built.
     [[nodiscard]] virtual std::unique_ptr<TxContext> make_context() = 0;
+
+    /// Checks `cx` out: takes whatever the context needs while in use — a
+    /// table backend's TxId — blocking (yielding) while max_live_contexts()
+    /// contexts are attached. Called once per Executor (at construction)
+    /// and once per atomically() call, never mid-transaction.
+    virtual void attach(TxContext& /*cx*/) noexcept {}
+
+    /// Returns what attach() took. Called between transactions only (no
+    /// metadata held); the context then idles in the pool until the next
+    /// attach, or is destroyed. A detached context must not depend on its
+    /// backend: the adaptive wrapper may destroy one after its engine.
+    virtual void detach(TxContext& /*cx*/) noexcept {}
 
     /// Starts (or restarts) an attempt.
     virtual void begin(TxContext& cx) = 0;
@@ -96,8 +125,8 @@ public:
     /// Rolls back after ConflictAbort (or failed commit cleanup is internal).
     virtual void abort(TxContext& cx) = 0;
 
-    /// Largest number of contexts that can be live simultaneously without
-    /// make_context() blocking — the table's TxId capacity for table
+    /// Largest number of contexts that can be attached simultaneously
+    /// without attach() blocking — the table's TxId capacity for table
     /// backends (62 for atomic_tagless, else 64); unbounded for tl2. The
     /// execution engine validates its thread count against this.
     [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept {

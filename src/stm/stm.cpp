@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "config/registry.hpp"
 #include "ownership/any_table.hpp"
 #include "stm/backend.hpp"
+#include "stm/context_pool.hpp"
 #include "stm/contention.hpp"
 #include "stm/sched_hook.hpp"
 #include "util/hash.hpp"
@@ -249,69 +248,41 @@ public:
         backend_ = backend_registry().create(registry_key(config_.backend),
                                              config::Config{}, config_, stats_,
                                              reclaim_);
-        // Contexts carry allocation-free tx-local structures (txlocal.hpp)
-        // that are cheap to reuse but not to construct; pool them for the
-        // convenience Stm::atomically path. Only backends without a slot
-        // cap participate: a pooled table-backend context would pin its
-        // TxId slot and could starve Executors of slots.
-        pool_contexts_ = backend_->max_live_contexts() ==
-                         std::numeric_limits<std::uint32_t>::max();
-        // Full capacity up front: release_context's push_back must not
-        // throw (it runs inside a scope guard, possibly mid-unwind).
-        if (pool_contexts_) context_pool_.reserve(kMaxPooledContexts);
     }
 
-    /// Every context handed to the attempt loop is bound to the reclaim
-    /// domain (epoch pin slot + tx_alloc support) exactly once, here.
-    [[nodiscard]] std::unique_ptr<detail::TxContext> new_context() {
-        auto cx = backend_->make_context();
-        cx->bind_reclaim(reclaim_);
+    /// Hands out an attached context: an idle pooled one when the calling
+    /// thread's shard has one, else a new context, bound to the reclaim
+    /// domain (pin slot, magazines, shard) once, here.
+    [[nodiscard]] std::unique_ptr<detail::TxContext> checkout(bool keep_slot) {
+        auto cx = pool_.take(keep_slot);
+        if (!cx) {
+            cx = backend_->make_context();
+            cx->bind_reclaim(reclaim_);
+            cx->cm_seed = cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
+                                             std::memory_order_relaxed);
+        }
+        backend_->attach(*cx);
         return cx;
     }
 
-    [[nodiscard]] std::unique_ptr<detail::TxContext> acquire_context() {
-        if (pool_contexts_) {
-            const std::lock_guard<std::mutex> guard(pool_mutex_);
-            if (!context_pool_.empty()) {
-                auto cx = std::move(context_pool_.back());
-                context_pool_.pop_back();
-                return cx;
-            }
-        }
-        return new_context();
-    }
-
-    void release_context(std::unique_ptr<detail::TxContext> cx) {
-        // A retiring context folds its locally accumulated counters into
-        // the shared block (destruction flushes too; pooling would not),
-        // and parks any buffered retired blocks in their shard so a pooled
-        // context never sits on unreclaimable memory.
-        cx->flush_stats();
+    /// Detaches `cx` (table backends: releases its TxId) and pools it with
+    /// its reclaim binding. Buffered retired blocks go to their shard
+    /// first, so an idle context never sits on unreclaimable memory.
+    void check_in(std::unique_ptr<detail::TxContext> cx) noexcept {
         reclaim_.flush_context(*cx);
-        if (pool_contexts_) {
-            const std::lock_guard<std::mutex> guard(pool_mutex_);
-            if (context_pool_.size() < kMaxPooledContexts) {
-                context_pool_.push_back(std::move(cx));
-                return;
-            }
-        }
-        // Destroyed here (table backends: releases the TxId slot).
+        backend_->detach(*cx);
+        pool_.park(std::move(cx));
     }
 
     StmConfig config_;
     detail::SharedStats stats_;
-    // Declared before backend_ (and the pool below): contexts unregister
-    // their pin slots and the adaptive wrapper drains retired blocks, so
-    // the domain must be destroyed after both.
+    // Declared before backend_ and pool_: contexts unregister their pin
+    // slots and the adaptive wrapper drains retired blocks, so the domain
+    // must be destroyed after both.
     detail::ReclaimDomain reclaim_;
     std::unique_ptr<detail::Backend> backend_;
     std::atomic<std::uint64_t> cm_seed_{0x5eedc0ffee123457ULL};
-
-private:
-    static constexpr std::size_t kMaxPooledContexts = 64;
-    bool pool_contexts_ = false;
-    std::mutex pool_mutex_;
-    std::vector<std::unique_ptr<detail::TxContext>> context_pool_;
+    detail::ContextPool pool_;
 };
 
 Stm::Stm(StmConfig config) : impl_(std::make_unique<Impl>(std::move(config))) {}
@@ -322,6 +293,9 @@ std::unique_ptr<Stm> Stm::create(const config::Config& cfg) {
 }
 
 StmStats Stm::stats() const noexcept {
+    // Idle contexts keep their counters until read (or destroyed).
+    impl_->pool_.for_each_idle(
+        [](detail::TxContext& cx) { cx.flush_stats(); });
     StmStats out = snapshot(impl_->stats_);
     // Allocator counters live on the reclamation domain (they are not
     // per-executor-sharded like Instrumentation), so the instance snapshot
@@ -345,25 +319,28 @@ std::string Stm::backend_description() const {
 }
 
 void Stm::run(detail::BodyRef body) {
-    auto cx = impl_->acquire_context();
+    auto cx = impl_->checkout(/*keep_slot=*/true);
     // Return the context to the pool on every exit path (including
     // TooMuchContention and user exceptions, where abort() already rolled
     // the transaction back and the context is quiescent).
     struct Return {
         Impl* impl;
         std::unique_ptr<detail::TxContext>* cx;
-        ~Return() { impl->release_context(std::move(*cx)); }
+        ~Return() { impl->check_in(std::move(*cx)); }
     } ret{impl_.get(), &cx};
-    run_in(body, *cx, impl_->stats_,
-           impl_->cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
-                                     std::memory_order_relaxed));
+    run_in(body, *cx, impl_->stats_);
 }
 
 void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
-                 detail::Instrumentation& stats, std::uint64_t cm_seed) {
+                 detail::Instrumentation& stats) {
     detail::Backend& backend = *impl_->backend_;
     detail::ReclaimDomain& reclaim = impl_->reclaim_;
-    ContentionManager cm(impl_->config_.contention, cm_seed);
+    // Iterated-mix64 walk from this context's private starting point — no
+    // shared atomic on this path, and (unlike advancing every context by
+    // the same additive constant) no two contexts' seed sequences lie on
+    // one arithmetic progression, so their backoff jitter never locks step.
+    cx.cm_seed = util::mix64(cx.cm_seed);
+    ContentionManager cm(impl_->config_.contention, cx.cm_seed);
 
     // Executor-quiescent point: between this context's transactions nothing
     // is pinned here, so allocator maintenance runs — flush a full retire
@@ -445,7 +422,13 @@ ReclaimStats Stm::reclaim_stats() const noexcept {
     return impl_->reclaim_.stats();
 }
 
-void Stm::reclaim_drain() noexcept { impl_->reclaim_.drain_all(); }
+void Stm::reclaim_drain() noexcept {
+    // A drained runtime holds no memory: idle contexts give up their
+    // cached free blocks too.
+    impl_->pool_.for_each_idle(
+        [this](detail::TxContext& cx) { impl_->reclaim_.retire_context(cx); });
+    impl_->reclaim_.drain_all();
+}
 
 detail::ReclaimDomain& Stm::reclaim_domain() noexcept {
     return impl_->reclaim_;
@@ -457,20 +440,11 @@ detail::ReclaimDomain& Stm::reclaim_domain() noexcept {
 
 Executor::Executor(Stm& stm)
     : stm_(stm),
-      cx_(stm.impl_->new_context()),
-      cm_seed_(stm.impl_->cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
-                                             std::memory_order_relaxed)) {}
+      cx_(stm.impl_->checkout(/*keep_slot=*/false)) {}
 
-Executor::~Executor() = default;
+Executor::~Executor() { stm_.impl_->check_in(std::move(cx_)); }
 
-void Executor::run(detail::BodyRef body) {
-    // Iterated-mix64 walk from this executor's private starting point — no
-    // shared atomic on this path, and (unlike advancing every executor by
-    // the same additive constant) no two executors' seed sequences lie on
-    // one arithmetic progression, so their backoff jitter never locks step.
-    cm_seed_ = util::mix64(cm_seed_);
-    stm_.run_in(body, *cx_, shard_, cm_seed_);
-}
+void Executor::run(detail::BodyRef body) { stm_.run_in(body, *cx_, shard_); }
 
 StmStats Executor::stats() const noexcept { return snapshot(shard_); }
 

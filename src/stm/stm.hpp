@@ -207,9 +207,10 @@ struct StmStats {
     /// re-read of a stripe adds nothing) and lock words examined by
     /// commit-time validation / read-version extension. Validation work per
     /// transaction equals the unique-stripe count, not the load count.
-    /// Accumulated per context and flushed when the context retires
-    /// (Executor destruction / end of an Stm::atomically call): exact at
-    /// quiescent points, possibly stale while executors are live.
+    /// Accumulated per context and folded when stats() visits the idle
+    /// context (after its Executor is destroyed or its Stm::atomically
+    /// call returns): exact at quiescent points, possibly stale while
+    /// executors are live.
     std::uint64_t tl2_read_set_entries = 0;
     std::uint64_t tl2_validation_checks = 0;
     /// TL2 only: failed CAS iterations advancing the global version clock
@@ -519,10 +520,10 @@ public:
     /// conflict with contention-managed backoff. Returns fn's result.
     /// `fn` must be safe to re-execute (no irrevocable side effects).
     ///
-    /// This convenience path allocates a fresh backend context (for table
-    /// backends: acquires a transaction slot) per call and records into the
-    /// instance-wide counters; threads on a hot path should hold an
-    /// Executor instead.
+    /// This convenience path checks a pooled backend context out per call
+    /// (for table backends: takes a transaction slot for the call) and
+    /// records into the instance-wide counters; threads on a hot path
+    /// should hold an Executor instead.
     template <typename F>
         requires std::invocable<F&, Transaction&>
     decltype(auto) atomically(F&& fn) {
@@ -558,9 +559,10 @@ public:
     /// exact at quiescent points, like occupied_metadata_entries().
     [[nodiscard]] ReclaimStats reclaim_stats() const noexcept;
 
-    /// Releases every retired-but-unreclaimed block immediately. Quiescent
-    /// points only (no transaction in flight) — the runner and tests call
-    /// this after joining worker threads; the destructor drains implicitly.
+    /// Releases every retired-but-unreclaimed block immediately, and hands
+    /// idle pooled contexts' cached free blocks back. Quiescent points only
+    /// (no transaction in flight) — the runner and tests call this after
+    /// joining worker threads; the destructor drains implicitly.
     void reclaim_drain() noexcept;
 
     /// The instance's reclamation domain — harness/test hook (observer
@@ -581,7 +583,7 @@ private:
     /// One attempt loop: begin/body/commit with retries, recording into
     /// `stats` (an executor's shard or the instance-wide block).
     void run_in(detail::BodyRef body, detail::TxContext& cx,
-                detail::Instrumentation& stats, std::uint64_t cm_seed);
+                detail::Instrumentation& stats);
 
     class Impl;
     std::unique_ptr<Impl> impl_;
@@ -627,7 +629,6 @@ private:
     Stm& stm_;
     std::unique_ptr<detail::TxContext> cx_;
     detail::Instrumentation shard_;
-    std::uint64_t cm_seed_;
 };
 
 }  // namespace tmb::stm

@@ -54,18 +54,12 @@ struct UndoEntry {
 using BlockModes = SmallMap<std::uint64_t, Mode>;
 using BlockSet = SmallSet<std::uint64_t>;
 
-template <typename Table>
-class TableBackend;
+/// Contexts hold a TxId only while attached (kNoSlot when idle).
+constexpr TxId kNoSlot = ownership::kMaxTx;
 
-template <typename Table>
 class TableContext final : public TxContext {
 public:
-    TableContext(TableBackend<Table>& backend, TxId slot)
-        : backend_(backend), slot_(slot) {}
-    ~TableContext() override;
-
-    TableBackend<Table>& backend_;
-    TxId slot_;
+    TxId slot_ = kNoSlot;
     BlockModes modes_;
     std::vector<UndoEntry> undo_;
 };
@@ -79,18 +73,29 @@ public:
           table_(config.table) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        const TxId slot = slots_.acquire();
-        return std::make_unique<TableContext<Table>>(*this, slot);
+        return std::make_unique<TableContext>();
+    }
+
+    void attach(TxContext& cx) noexcept override {
+        static_cast<TableContext&>(cx).slot_ = slots_.acquire();
+    }
+
+    /// held_blocks_[slot] is already empty: every attempt ends in commit or
+    /// abort, and both clear it.
+    void detach(TxContext& cx_base) noexcept override {
+        auto& cx = static_cast<TableContext&>(cx_base);
+        slots_.release(cx.slot_);
+        cx.slot_ = kNoSlot;
     }
 
     void begin(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
         cx.modes_.clear();
         cx.undo_.clear();
     }
 
     std::uint64_t load(TxContext& cx_base, const std::uint64_t* addr) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
         const std::uint64_t block = block_of(addr);
         if (!cx.modes_.contains(block)) {
             acquire_block(cx, block, /*for_write=*/false);
@@ -100,7 +105,7 @@ public:
 
     void store(TxContext& cx_base, std::uint64_t* addr,
                std::uint64_t value) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
         const std::uint64_t block = block_of(addr);
         const Mode* held = cx.modes_.find(block);
         if (held == nullptr || *held != Mode::kWrite) {
@@ -111,27 +116,19 @@ public:
     }
 
     bool commit(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
         release_all(cx);
         return true;  // 2PL: reaching commit means the transaction is valid
     }
 
     void abort(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
         // Roll back newest-first; we still hold exclusive write ownership of
         // every touched block, so plain stores are race-free.
         for (auto it = cx.undo_.rbegin(); it != cx.undo_.rend(); ++it) {
             *it->addr = it->old_value;
         }
         release_all(cx);
-    }
-
-    void release_slot(TxId slot) {
-        {
-            const std::lock_guard<std::mutex> guard(mutex_);
-            held_blocks_[slot].clear();
-        }
-        slots_.release(slot);
     }
 
     std::uint64_t occupied_metadata_entries() const noexcept override {
@@ -144,7 +141,7 @@ private:
         return reinterpret_cast<std::uintptr_t>(addr) >> block_shift_;
     }
 
-    void acquire_block(TableContext<Table>& cx, std::uint64_t block,
+    void acquire_block(TableContext& cx, std::uint64_t block,
                        bool for_write) {
         scheduler_yield(for_write ? YieldPoint::kAcquireWrite
                                   : YieldPoint::kAcquireRead,
@@ -179,7 +176,7 @@ private:
         counter.fetch_add(1, std::memory_order_relaxed);
     }
 
-    void release_all(TableContext<Table>& cx) {
+    void release_all(TableContext& cx) {
         const std::lock_guard<std::mutex> guard(mutex_);
         cx.modes_.for_each([&](std::uint64_t block, Mode mode) {
             table_.release(cx.slot_, block, mode);
@@ -197,11 +194,6 @@ private:
     SlotPool slots_;
 };
 
-template <typename Table>
-TableContext<Table>::~TableContext() {
-    backend_.release_slot(slot_);
-}
-
 // ---------------------------------------------------------------------------
 // Lazy (commit-time-locking) variant: reads acquire ownership at encounter,
 // writes go to a redo buffer and acquire ownership only inside commit().
@@ -210,18 +202,9 @@ TableContext<Table>::~TableContext() {
 // and write ownership is held only across the commit.
 // ---------------------------------------------------------------------------
 
-template <typename Table>
-class LazyTableBackend;
-
-template <typename Table>
 class LazyTableContext final : public TxContext {
 public:
-    LazyTableContext(LazyTableBackend<Table>& backend, TxId slot)
-        : backend_(backend), slot_(slot) {}
-    ~LazyTableContext() override;
-
-    LazyTableBackend<Table>& backend_;
-    TxId slot_;
+    TxId slot_ = kNoSlot;
     BlockModes held_;  ///< blocks owned (reads + commit-time writes)
     /// Redo buffer: one entry per address in first-write order (rewrites
     /// update in place), with the shared scan-then-index lookup.
@@ -237,18 +220,29 @@ public:
           table_(config.table) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        const TxId slot = slots_.acquire();
-        return std::make_unique<LazyTableContext<Table>>(*this, slot);
+        return std::make_unique<LazyTableContext>();
+    }
+
+    void attach(TxContext& cx) noexcept override {
+        static_cast<LazyTableContext&>(cx).slot_ = slots_.acquire();
+    }
+
+    /// As in TableBackend::detach: commit and abort leave held_blocks_
+    /// empty.
+    void detach(TxContext& cx_base) noexcept override {
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
+        slots_.release(cx.slot_);
+        cx.slot_ = kNoSlot;
     }
 
     void begin(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
         cx.held_.clear();
         cx.redo_.clear();
     }
 
     std::uint64_t load(TxContext& cx_base, const std::uint64_t* addr) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
         // Read-your-own-write from the redo buffer.
         if (const WriteLog::Entry* entry = cx.redo_.find(addr)) {
             return entry->value;
@@ -275,7 +269,7 @@ public:
 
     void store(TxContext& cx_base, std::uint64_t* addr,
                std::uint64_t value) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
         // Ownership deferred to commit.
         if (WriteLog::Entry* entry = cx.redo_.find(addr)) {
             entry->value = value;
@@ -285,7 +279,7 @@ public:
     }
 
     bool commit(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
         if (tls_scheduler_hook == nullptr) {
             // Real engine: all commit-time acquires under one guard, as a
             // single metadata operation (no per-entry lock round-trips).
@@ -337,18 +331,10 @@ public:
     }
 
     void abort(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
+        auto& cx = static_cast<LazyTableContext&>(cx_base);
         // Nothing was published (redo buffering): just drop ownership.
         const std::lock_guard<std::mutex> guard(mutex_);
         release_all_locked(cx);
-    }
-
-    void release_slot(TxId slot) {
-        {
-            const std::lock_guard<std::mutex> guard(mutex_);
-            held_blocks_[slot].clear();
-        }
-        slots_.release(slot);
     }
 
     std::uint64_t occupied_metadata_entries() const noexcept override {
@@ -365,7 +351,7 @@ private:
     /// block; false means a conflict (caller releases everything and the
     /// commit retries). The test-only ignore fault reports success without
     /// recording ownership — the write-back then races, which is the point.
-    [[nodiscard]] bool acquire_commit_block_locked(LazyTableContext<Table>& cx,
+    [[nodiscard]] bool acquire_commit_block_locked(LazyTableContext& cx,
                                                    std::uint64_t block) {
         const AcquireResult r = table_.acquire_write(cx.slot_, block);
         if (!r.ok) {
@@ -397,7 +383,7 @@ private:
     }
 
     /// Pre: mutex_ held.
-    void release_all_locked(LazyTableContext<Table>& cx) {
+    void release_all_locked(LazyTableContext& cx) {
         cx.held_.for_each([&](std::uint64_t block, Mode mode) {
             table_.release(cx.slot_, block, mode);
         });
@@ -413,11 +399,6 @@ private:
     std::array<BlockSet, ownership::kMaxTx> held_blocks_;
     SlotPool slots_;
 };
-
-template <typename Table>
-LazyTableContext<Table>::~LazyTableContext() {
-    backend_.release_slot(slot_);
-}
 
 }  // namespace
 

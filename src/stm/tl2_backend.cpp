@@ -72,9 +72,9 @@ public:
     WriteLog write_set;
     /// Commit-time scratch: sorted unique stripe locks of the write set.
     std::vector<std::atomic<std::uint64_t>*> commit_locks;
-    /// Accumulated locally; folded into the shared block only when the
-    /// context retires (flush_stats), so neither loads nor commits touch a
-    /// shared counter.
+    /// Accumulated locally; folded into the shared block only when stats
+    /// are read or the context is destroyed (flush_stats), so neither
+    /// loads, commits nor checkouts touch a shared counter.
     std::uint64_t reads_tracked = 0;
     std::uint64_t validation_checks = 0;
 

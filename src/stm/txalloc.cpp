@@ -78,8 +78,8 @@ void ReclaimDomain::note_alloc(void* ptr) noexcept {
     }
 }
 
-bool ReclaimDomain::release_destroy(const RetiredBlock& block,
-                                    TxContext* cx) noexcept {
+bool ReclaimDomain::release_destroy(const RetiredBlock& block, TxContext* cx,
+                                    std::vector<void*>* spill) noexcept {
     if (ReclaimObserver* obs = observer_.load(std::memory_order_relaxed)) {
         // Impounded: no destructor, no cache, no free — the observer owns
         // the memory now. Cached blocks take this gate too, so a lifetime
@@ -88,15 +88,19 @@ bool ReclaimDomain::release_destroy(const RetiredBlock& block,
     }
     block.destroy(block.ptr);
     if (block.size_class != kUncachedClass) {
-        dispose(block.ptr, block.size_class, cx);
+        dispose(block.ptr, block.size_class, cx, spill);
     }
     return true;
 }
 
-void ReclaimDomain::dispose(void* ptr, std::uint16_t sc,
-                            TxContext* cx) noexcept {
+void ReclaimDomain::dispose(void* ptr, std::uint16_t sc, TxContext* cx,
+                            std::vector<void*>* spill) noexcept {
     if (cx != nullptr &&
         cx->cache.push(ptr, sc, cx->cache.cap_blocks + kCacheSpillSlack)) {
+        return;
+    }
+    if (spill != nullptr) {
+        spill->push_back(ptr);
         return;
     }
     depot_put_bulk(sc, &ptr, 1);
@@ -343,7 +347,10 @@ void ReclaimDomain::poll_from(TxContext* cx) {
             // flushed from now on get a strictly newer tag.
             global_epoch_.store(global + 1, std::memory_order_seq_cst);
         }
-        limit = min_pinned;  // free strictly below
+        // Free strictly below. A reader that pins after this scan is not
+        // in min_pinned, but every block it can still reach is flushed
+        // after the scan, with a tag >= global: cap the limit there.
+        limit = std::min(min_pinned, global);
     }
     std::uint64_t released = 0;
     for (Shard& shard : shards_) {
@@ -375,8 +382,22 @@ void ReclaimDomain::poll_from(TxContext* cx) {
     flushed_total_.fetch_sub(released, std::memory_order_relaxed);
     pending_.fetch_sub(released, std::memory_order_relaxed);
     reclaimed_.fetch_add(released, std::memory_order_relaxed);
-    for (const RetiredBlock& block : releasable) {
-        (void)release_destroy(block, cx);
+    // A burst of releases (after a stalled epoch, say) overflows the
+    // polling context's magazines: what they cannot take goes to the depot
+    // in one locked batch per size class, not one lock per block.
+    std::sort(releasable.begin(), releasable.end(),
+              [](const RetiredBlock& a, const RetiredBlock& b) {
+                  return a.size_class < b.size_class;
+              });
+    static thread_local std::vector<void*> spill;
+    spill.reserve(releasable.size());
+    for (std::size_t i = 0; i < releasable.size();) {
+        const std::uint16_t sc = releasable[i].size_class;
+        spill.clear();
+        for (; i < releasable.size() && releasable[i].size_class == sc; ++i) {
+            (void)release_destroy(releasable[i], cx, &spill);
+        }
+        if (!spill.empty()) depot_put_bulk(sc, spill.data(), spill.size());
     }
 }
 

@@ -414,9 +414,14 @@ private:
 
     /// Observer gate + destructor + storage disposal for one block.
     /// Returns false when the observer impounded the block (nothing ran).
-    bool release_destroy(const RetiredBlock& block, TxContext* cx) noexcept;
-    /// Raw-storage disposal: context magazine, then depot, then heap.
-    void dispose(void* ptr, std::uint16_t sc, TxContext* cx) noexcept;
+    /// With `spill`, storage the magazine cannot take is appended there
+    /// (capacity reserved by the caller) for one batched depot put.
+    bool release_destroy(const RetiredBlock& block, TxContext* cx,
+                         std::vector<void*>* spill = nullptr) noexcept;
+    /// Raw-storage disposal: context magazine, then `spill` or the depot,
+    /// then heap.
+    void dispose(void* ptr, std::uint16_t sc, TxContext* cx,
+                 std::vector<void*>* spill = nullptr) noexcept;
     void depot_put_bulk(std::uint16_t sc, void** blocks,
                         std::size_t count) noexcept;
     void flush_retired(TxContext& cx) noexcept;

@@ -6,15 +6,58 @@
 // quiesce-and-swap protocol on the real-thread production path.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "adapt/policy.hpp"
 #include "config/config.hpp"
 #include "sched/harness.hpp"
 #include "sched/schedule.hpp"
 #include "stm/stm.hpp"
+
+// ---------------------------------------------------------------------------
+// Live heap bytes, for tests that check when an engine's table is freed.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* tracked_alloc(std::size_t size) {
+    void* p = std::malloc(size ? size : 1);
+    if (p == nullptr) throw std::bad_alloc{};
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+}
+
+void tracked_free(void* p) noexcept {
+    if (p == nullptr) return;
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    std::free(p);
+}
+
+[[nodiscard]] std::int64_t live_heap_bytes() {
+    return g_live_bytes.load(std::memory_order_relaxed);
+}
+}  // namespace
+
+// Over-aligned allocations keep the library's operators (not tracked).
+void* operator new(std::size_t size) { return tracked_alloc(size); }
+void* operator new[](std::size_t size) { return tracked_alloc(size); }
+void operator delete(void* p) noexcept { tracked_free(p); }
+void operator delete[](void* p) noexcept { tracked_free(p); }
+void operator delete(void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { tracked_free(p); }
 
 namespace tmb::adapt {
 namespace {
@@ -304,6 +347,104 @@ TEST(AdaptiveStmProd, CycleRotatesAndPreservesValues) {
     // The live engine description names the adaptive wrapper and its
     // mounted shape.
     EXPECT_NE(tm->backend_description().find("adaptive("), std::string::npos);
+}
+
+TEST(AdaptiveStmProd, ConcurrencyCountsCheckedOutContextsNotPooledOnes) {
+    // The birthday model's C is the number of checked-out contexts. Build
+    // and pool 16 contexts first (16 threads inside atomically at once),
+    // then generate false conflicts with exactly 2 checked-out Executors
+    // on a 1-entry tagless table (every block aliases). The resize must be
+    // sized for C=2, not for the 18 contexts ever built.
+    const auto tm = stm::Stm::create(config::Config::from_string(
+        "backend=adaptive engine=table table=tagless entries=1 policy=auto "
+        "epoch=32 max_attempts=1 contention=none"));
+    constexpr int kPooled = 16;
+    std::atomic<int> waiting{kPooled};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kPooled; ++t) {
+        threads.emplace_back([&] {
+            tm->atomically([&](stm::Transaction&) {
+                // No access: nothing is held while waiting.
+                waiting.fetch_sub(1);
+                while (waiting.load() > 0) std::this_thread::yield();
+            });
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    struct alignas(64) PaddedVar {
+        stm::TVar<long> value;
+    };
+    PaddedVar a;
+    PaddedVar b;
+    const auto outer = tm->make_executor();
+    const auto inner = tm->make_executor();
+    for (int i = 0; i < 64 && tm->stats().policy_switches == 0; ++i) {
+        outer->atomically([&](stm::Transaction& tx) {
+            a.value.write(tx, i);
+            try {
+                // Aliases the block `outer` holds: a false conflict, and
+                // max_attempts=1 turns it into TooMuchContention.
+                inner->atomically(
+                    [&](stm::Transaction& itx) { b.value.write(itx, i); });
+            } catch (const stm::TooMuchContention&) {
+            }
+        });
+    }
+    // The staged switch is applied at the next begin.
+    tm->atomically([](stm::Transaction&) {});
+    ASSERT_EQ(tm->stats().policy_switches, 1u);
+    // One store per committed outer transaction: W = 1 block.
+    const double target = PolicyConfig{}.false_hi / 4;
+    const std::uint64_t for_two = entries_for_target(2, 1.0, target, 2,
+                                                     PolicyConfig{}.max_entries);
+    ASSERT_NE(for_two, entries_for_target(kPooled + 2, 1.0, target, 2,
+                                          PolicyConfig{}.max_entries));
+    EXPECT_NE(tm->backend_description().find(
+                  "entries=" + std::to_string(for_two) + " "),
+              std::string::npos)
+        << tm->backend_description();
+}
+
+TEST(AdaptiveStmProd, PooledContextsDoNotKeepSwappedOutEnginesAlive) {
+    // The atomic family's cycle toggles the table between N and 2N entries
+    // on every commit (epoch=1), and the next begin swaps. A swapped-out
+    // engine must die as soon as no *checked-out* context uses it: a
+    // pooled context, idle across the swap or returned after it, must
+    // not keep the old engine and its table alive.
+    constexpr std::uint64_t kEntries = std::uint64_t{1} << 18;
+    const std::int64_t before_create = live_heap_bytes();
+    const auto tm = stm::Stm::create(config::Config::from_string(
+        "backend=adaptive engine=atomic entries=" + std::to_string(kEntries) +
+        " policy=cycle epoch=1 max_entries=" + std::to_string(2 * kEntries)));
+    // What one N-entry engine costs (its table dominates).
+    const std::int64_t engine_bytes = live_heap_bytes() - before_create;
+    ASSERT_GE(engine_bytes,
+              static_cast<std::int64_t>(kEntries * sizeof(std::uint64_t)));
+    stm::TVar<long> x{0};
+    auto bump = [&](stm::Transaction& tx) { x.write(tx, x.read(tx) + 1); };
+
+    // Idle across the swap: `idle`'s context is pooled while N is live;
+    // `other`, checked out throughout (so it cannot take that context),
+    // swaps N for 2N.
+    auto idle = tm->make_executor();
+    auto other = tm->make_executor();
+    idle->atomically(bump);
+    idle.reset();
+    std::int64_t mark = live_heap_bytes();
+    other->atomically(bump);  // N -> 2N
+    // Freed N, built 2N: net +N. Keeping N alive would make it +2N.
+    EXPECT_LT(live_heap_bytes() - mark, engine_bytes * 3 / 2)
+        << "an idle pooled context kept the swapped-out engine alive";
+
+    // Returned after the swap: `other` stays bound to 2N while another
+    // context swaps 2N for N; returning `other` must release 2N.
+    tm->atomically(bump);  // 2N -> N
+    mark = live_heap_bytes();
+    other.reset();
+    EXPECT_GE(mark - live_heap_bytes(), engine_bytes)
+        << "a context returned after a swap kept the old engine alive";
+    EXPECT_EQ(x.unsafe_read(), 3);
 }
 
 TEST(AdaptiveStmProd, RejectsUnknownPolicyAndNestedEngine) {

@@ -5,9 +5,17 @@
 // false conflicts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -360,13 +368,23 @@ TEST(StmTagless, FalseConflictRateExceedsTagged) {
         cfg.table.entries = 64;
         cfg.contention.policy = ContentionPolicy::kYield;
         Stm tm(cfg);
-        std::vector<TVar<long>> vars(256);
+        // Each quarter (64 vars) spans whole blocks, so aligning the first
+        // one to block_bytes aligns them all. The vector's own alignment
+        // (16 bytes) would let neighbouring quarters share a block.
+        const std::size_t per_block = cfg.block_bytes / sizeof(TVar<long>);
+        std::vector<TVar<long>> storage(256 + per_block);
+        const std::uintptr_t misalign =
+            reinterpret_cast<std::uintptr_t>(storage.data()) % cfg.block_bytes;
+        TVar<long>* vars =
+            storage.data() +
+            (misalign == 0 ? 0
+                           : (cfg.block_bytes - misalign) / sizeof(TVar<long>));
         std::vector<std::thread> threads;
         for (int t = 0; t < 4; ++t) {
             threads.emplace_back([&, t] {
                 util::Xoshiro256 rng{static_cast<std::uint64_t>(t) * 7 + 1};
                 for (int i = 0; i < 250; ++i) {
-                    // Each thread works on its own quarter: disjoint data.
+                    // Each thread works on its own quarter: disjoint blocks.
                     const std::size_t base = static_cast<std::size_t>(t) * 64;
                     const auto idx = base + static_cast<std::size_t>(rng.below(64));
                     tm.atomically([&](Transaction& tx) {
@@ -410,6 +428,88 @@ TEST(StmRuntime, SequentialTransactionsReuseSlots) {
         tm.atomically([&](Transaction& tx) { x.write(tx, x.read(tx) + 1); });
     }
     EXPECT_EQ(x.unsafe_read(), 200);
+}
+
+TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
+    // Idle pooled contexts hold no TxId. Fill the pool from more threads
+    // than there are TxIds (each thread's first call waits until
+    // max_live_executors() of them are checked out at once, so that many
+    // contexts get built and pooled), then hold max_live_executors()
+    // Executors at once, each with a transaction run. If a pooled context
+    // kept its TxId, either step would block forever; a bounded wait turns
+    // that into a failure.
+    constexpr int kThreads = 72;
+    struct alignas(64) PaddedVar {
+        TVar<long> value;
+    };
+    std::vector<StmConfig> configs;
+    for (const BackendKind kind :
+         {BackendKind::kTaglessTable, BackendKind::kTaggedTable,
+          BackendKind::kTaglessAtomic, BackendKind::kTl2}) {
+        configs.push_back(config_for(kind));
+    }
+    configs.push_back(config_for(BackendKind::kTaglessTable));
+    configs.back().commit_time_locks = true;
+    for (const BackendKind engine :
+         {BackendKind::kTaglessTable, BackendKind::kTaglessAtomic}) {
+        configs.push_back(config_for(BackendKind::kAdaptive));
+        configs.back().adapt.engine = engine;
+    }
+    for (const StmConfig& cfg : configs) {
+        const std::string name(to_string(cfg.backend));
+        Stm tm(cfg);
+        const std::uint32_t cap =
+            std::min<std::uint32_t>(tm.max_live_executors(), kThreads);
+        std::vector<PaddedVar> vars(kThreads);
+        const auto fill_then_build = [&] {
+            std::atomic<std::uint32_t> arrived{0};
+            std::atomic<std::uint32_t> waiting{cap};
+            std::vector<std::thread> threads;
+            for (int t = 0; t < kThreads; ++t) {
+                threads.emplace_back([&, t] {
+                    bool first = true;
+                    for (int i = 0; i < 4; ++i) {
+                        tm.atomically([&](Transaction& tx) {
+                            if (first && arrived.fetch_add(1) < cap) {
+                                // Nothing is acquired yet: wait for `cap`
+                                // checked-out contexts in total.
+                                waiting.fetch_sub(1);
+                                while (waiting.load() != 0) {
+                                    std::this_thread::yield();
+                                }
+                            }
+                            first = false;
+                            auto& var = vars[static_cast<std::size_t>(t)].value;
+                            var.write(tx, var.read(tx) + 1);
+                        });
+                    }
+                });
+            }
+            for (auto& th : threads) th.join();
+            std::vector<std::unique_ptr<Executor>> executors;
+            for (std::uint32_t i = 0; i < cap; ++i) {
+                executors.push_back(tm.make_executor());
+                auto& var = vars[i % vars.size()].value;
+                executors.back()->atomically(
+                    [&](Transaction& tx) { var.write(tx, var.read(tx) + 1); });
+            }
+        };
+        auto finished = std::async(std::launch::async, fill_then_build);
+        if (finished.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            // The stuck threads cannot be unblocked or joined: fail loudly.
+            std::fprintf(stderr,
+                         "FAILED: %s: the context pool starved %u "
+                         "concurrent transactions of TxIds\n",
+                         name.c_str(), cap);
+            std::abort();
+        }
+        finished.get();
+        long total = 0;
+        for (const auto& v : vars) total += v.value.unsafe_read();
+        EXPECT_EQ(total, kThreads * 4 + static_cast<long>(cap)) << name;
+        EXPECT_EQ(tm.occupied_metadata_entries(), 0u) << name;
+    }
 }
 
 TEST(StmRuntime, IndependentInstancesDoNotInterfere) {

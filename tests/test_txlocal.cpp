@@ -218,17 +218,23 @@ struct alignas(64) PaddedVar {
     TVar<long> value;
 };
 
+/// Which runtime entry point a measured transaction goes through.
+enum class Path { kExecutor, kAtomically };
+
 /// Runs warm-up then measured transactions (each with one explicit retry,
 /// exercising the abort/rollback path too) and returns the heap allocations
-/// performed inside the measured region.
-std::uint64_t measure_steady_state_allocs(const std::string& spec) {
+/// performed inside the measured region. On Path::kAtomically every
+/// transaction checks a context out of the runtime's pool and returns it.
+std::uint64_t measure_steady_state_allocs(const std::string& spec,
+                                          Path path = Path::kExecutor) {
     const auto tm = Stm::create(config::Config::from_string(spec));
-    const auto exec = tm->make_executor();
+    const auto exec =
+        path == Path::kExecutor ? tm->make_executor() : nullptr;
     std::vector<PaddedVar> vars(16);
 
     const auto run_one = [&](int i) {
         bool retried = false;
-        exec->atomically([&](Transaction& tx) {
+        auto body = [&](Transaction& tx) {
             if (!retried) {
                 retried = true;
                 tx.retry();  // steady state includes the retry path
@@ -239,7 +245,12 @@ std::uint64_t measure_steady_state_allocs(const std::string& spec) {
                 // Duplicate read of the same variable (TL2: same stripe).
                 (void)var.read(tx);
             }
-        });
+        };
+        if (exec) {
+            exec->atomically(body);
+        } else {
+            tm->atomically(body);
+        }
     };
 
     for (int i = 0; i < 64; ++i) run_one(i);  // warm-up: capacities settle
@@ -258,10 +269,16 @@ TEST(ZeroAllocation, SteadyStateTransactionsAcrossAllBackends) {
         "backend=table table=tagless commit_time_locks=1 contention=none",
         "backend=table table=tagged commit_time_locks=1 contention=none",
         "backend=atomic contention=none",
+        "backend=adaptive engine=table table=tagless policy=off "
+        "contention=none",
     };
     for (const char* spec : specs) {
         EXPECT_EQ(measure_steady_state_allocs(spec), 0u)
-            << "steady-state transactions allocated on: " << spec;
+            << "steady-state Executor transactions allocated on: " << spec;
+        // Warmed-up Stm::atomically calls reuse the calling thread's pooled
+        // context: no context is built, bound or destroyed per call.
+        EXPECT_EQ(measure_steady_state_allocs(spec, Path::kAtomically), 0u)
+            << "steady-state Stm::atomically calls allocated on: " << spec;
     }
 }
 
