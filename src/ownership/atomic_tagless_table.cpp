@@ -33,11 +33,19 @@ void check_tx(TxId tx) {
     }
 }
 
+/// Counter shard t has one writer, the holder of TxId t, so a plain
+/// load/store pair replaces a locked fetch_add. The SlotPool's release and
+/// acquire order one holder's last bump before the next holder's first.
+void bump(std::atomic<std::uint64_t>& counter) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+}
+
 }  // namespace
 
 AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    counter_shards_[tx].read_acquires.fetch_add(1, std::memory_order_relaxed);
+    bump(counter_shards_[tx].read_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -61,7 +69,7 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -70,7 +78,7 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
 
 AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    counter_shards_[tx].write_acquires.fetch_add(1, std::memory_order_relaxed);
+    bump(counter_shards_[tx].write_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -84,7 +92,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
             case Mode::kRead: {
                 const std::uint64_t others = payload_of(word) & ~tx_bit(tx);
                 if (others != 0) {
-                    counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                    bump(counter_shards_[tx].conflicts);
                     return {.ok = false, .conflicting = others};
                 }
                 if (entry.compare_exchange_weak(word, pack(Mode::kWrite, tx),
@@ -96,7 +104,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -104,7 +112,6 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
 }
 
 void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
-    counter_shards_[tx & 63].releases.fetch_add(1, std::memory_order_relaxed);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -118,6 +125,7 @@ void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
                     remaining == 0 ? kFreeWord : pack(Mode::kRead, remaining);
                 if (entry.compare_exchange_weak(word, desired,
                                                 std::memory_order_acq_rel)) {
+                    bump(counter_shards_[tx].releases);
                     return;
                 }
                 break;
@@ -126,6 +134,7 @@ void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
                 if (static_cast<TxId>(payload_of(word)) != tx) return;
                 if (entry.compare_exchange_weak(word, kFreeWord,
                                                 std::memory_order_acq_rel)) {
+                    bump(counter_shards_[tx].releases);
                     return;
                 }
                 break;

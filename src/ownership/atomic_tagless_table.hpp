@@ -15,6 +15,15 @@
 // implementers (paper §2.1: no tags, no chains, one CAS per acquire) — and
 // it changes nothing about their false-conflict pathology, which this class
 // inherits by construction.
+//
+// Locked instructions: the entry CAS is the only one. Statistics live in
+// one counter shard per TxId, and only the current holder of TxId t may
+// call acquire_read/acquire_write/release with t (a release by a TxId that
+// does not hold the entry is tolerated: it changes nothing, counts
+// nothing). So shard t has a single writer, which bumps it with a relaxed
+// load and store; whatever hands TxIds between threads (the STM's
+// SlotPool) must order one holder's last call before the next holder's
+// first, as a release/acquire pair does.
 #pragma once
 
 #include <array>
@@ -87,9 +96,10 @@ private:
 
     /// Per-TxId statistics shard: counters are bumped on every acquire, so
     /// a single shared set would ping-pong one cache line between all
-    /// threads; each transaction writes its own line instead and counters()
-    /// sums at read time. Sized kMaxTx (not kMaxAtomicTx) so release() —
-    /// which tolerates any TxId — can index with `tx & 63` unconditionally.
+    /// threads; each transaction writes its own line instead (single
+    /// writer, see the file header) and counters() sums at read time.
+    /// `releases` counts holds actually given up, so a foreign or double
+    /// release writes no shard.
     struct alignas(64) CounterShard {
         std::atomic<std::uint64_t> read_acquires{0};
         std::atomic<std::uint64_t> write_acquires{0};
@@ -100,7 +110,7 @@ private:
     TableConfig config_;
     util::BlockHasher hasher_;
     std::vector<std::atomic<std::uint64_t>> entries_;
-    std::array<CounterShard, kMaxTx> counter_shards_;
+    std::array<CounterShard, kMaxAtomicTx> counter_shards_;
 };
 
 static_assert(OwnershipTable<AtomicTaglessTable>);

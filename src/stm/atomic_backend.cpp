@@ -7,14 +7,23 @@
 // implementer would actually ship with a tagless design — and it inherits
 // the false-conflict pathology unchanged, which is the paper's point.
 //
+// Locked instructions: on the access path (load, store, commit, abort) the
+// table's entry CAS is the only one. The table's counter shard for a TxId
+// and the slot's footprint log both have one writer, the context holding
+// that TxId, so they are written with plain atomic stores; the SlotPool's
+// release/acquire pair hands both to the next holder. Only a footprint
+// that overflows its inline log takes a mutex.
+//
 // Conflict classification (true vs false) is best-effort here: the
-// conflicting transaction's footprint is inspected under its per-slot
-// mutex, but it may have committed/aborted between our failed CAS and the
-// inspection. Counts are therefore approximate under heavy churn (exact in
-// the common case); the global-lock backend remains the exact-classification
-// reference.
+// conflicting transaction's footprint is read while its holder runs, so it
+// may have committed/aborted (or started over) between our failed CAS and
+// the inspection. Counts are therefore approximate under heavy churn (exact
+// in the common case); the global-lock backend remains the
+// exact-classification reference.
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -50,10 +59,55 @@ public:
     std::vector<UndoEntry> undo_;
 };
 
-/// Per-slot footprint record, for classification and leak-free teardown.
-struct alignas(64) SlotFootprint {
-    std::mutex mutex;
-    SmallSet<std::uint64_t> blocks;
+/// The blocks a slot's current holder owns, for classifying the conflicts
+/// others hit against it. Only the holder writes; any thread may read. The
+/// first kInline blocks go to an array published by a release store of
+/// `count_`; the rest spill into a mutex-guarded set, and `count_` then
+/// reads kInline + 1. 62 slots x 32 words keep the zeroed array ≈16 KiB.
+class alignas(64) SlotFootprint {
+public:
+    static constexpr std::uint32_t kInline = 32;
+
+    /// Holder only; each block at most once per transaction.
+    void record(std::uint64_t block) {
+        const std::uint32_t n = count_.load(std::memory_order_relaxed);
+        if (n < kInline) {
+            blocks_[n].store(block, std::memory_order_relaxed);
+            count_.store(n + 1, std::memory_order_release);
+            return;
+        }
+        {
+            const std::lock_guard<std::mutex> guard(spill_mutex_);
+            spill_.insert(block);
+        }
+        if (n == kInline) count_.store(kInline + 1, std::memory_order_release);
+    }
+
+    /// Holder only, at commit/abort.
+    void reset() {
+        if (count_.load(std::memory_order_relaxed) > kInline) {
+            const std::lock_guard<std::mutex> guard(spill_mutex_);
+            spill_.clear();
+        }
+        count_.store(0, std::memory_order_release);
+    }
+
+    /// Any thread; best-effort while the holder runs.
+    [[nodiscard]] bool contains(std::uint64_t block) {
+        const std::uint32_t n = count_.load(std::memory_order_acquire);
+        for (std::uint32_t i = 0; i < std::min(n, kInline); ++i) {
+            if (blocks_[i].load(std::memory_order_relaxed) == block) return true;
+        }
+        if (n <= kInline) return false;
+        const std::lock_guard<std::mutex> guard(spill_mutex_);
+        return spill_.contains(block);
+    }
+
+private:
+    std::atomic<std::uint32_t> count_{0};
+    std::mutex spill_mutex_;
+    SmallSet<std::uint64_t> spill_;
+    std::array<std::atomic<std::uint64_t>, kInline> blocks_{};
 };
 
 class AtomicBackend final : public Backend {
@@ -146,12 +200,10 @@ private:
             classify_conflict(block, r.conflicting);
             throw ConflictAbort{};
         }
-        {
-            SlotFootprint& fp = footprints_[cx.slot_];
-            const std::lock_guard<std::mutex> guard(fp.mutex);
-            fp.blocks.insert(block);
+        // A read→write upgrade keeps the block's footprint record.
+        if (cx.modes_.put(block, for_write ? Mode::kWrite : Mode::kRead)) {
+            footprints_[cx.slot_].record(block);
         }
-        cx.modes_.put(block, for_write ? Mode::kWrite : Mode::kRead);
     }
 
     void classify_conflict(std::uint64_t block, std::uint64_t conflicting) {
@@ -159,9 +211,7 @@ private:
         while (conflicting != 0) {
             const auto slot = static_cast<std::uint32_t>(std::countr_zero(conflicting));
             conflicting &= conflicting - 1;
-            SlotFootprint& fp = footprints_[slot];
-            const std::lock_guard<std::mutex> guard(fp.mutex);
-            if (fp.blocks.contains(block)) {
+            if (footprints_[slot].contains(block)) {
                 same_block = true;
                 break;
             }
@@ -174,11 +224,7 @@ private:
         cx.modes_.for_each([&](std::uint64_t block, Mode mode) {
             table_.release(cx.slot_, block, mode);
         });
-        {
-            SlotFootprint& fp = footprints_[cx.slot_];
-            const std::lock_guard<std::mutex> guard(fp.mutex);
-            fp.blocks.clear();
-        }
+        footprints_[cx.slot_].reset();
         cx.modes_.clear();
         cx.undo_.clear();
     }

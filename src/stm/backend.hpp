@@ -79,6 +79,9 @@ public:
     /// Contention-manager jitter seed, advanced per transaction; seeded
     /// once, when the runtime builds the context.
     std::uint64_t cm_seed = 0;
+    /// Commits and aborts of the atomically() calls run on this context,
+    /// folded into the instance block by the runtime (see RunTally).
+    RunTally run_tally;
     /// The runtime pool slot this context parks in, reserved for it while
     /// an atomically() call has it out; null while it has none (new, or
     /// held by an Executor).

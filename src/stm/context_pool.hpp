@@ -56,8 +56,9 @@ public:
     }
 
     /// Parks `cx` in its reserved slot, else in a free slot of the calling
-    /// thread's shard; destroys it when there is none.
-    void park(std::unique_ptr<TxContext> cx) noexcept {
+    /// thread's shard; hands it back when there is none.
+    [[nodiscard]] std::unique_ptr<TxContext> park(
+        std::unique_ptr<TxContext> cx) noexcept {
         if (cx->pool_slot == nullptr) {
             for (auto& slot : own_shard()) {
                 if (!reserve(slot, nullptr)) continue;
@@ -68,6 +69,7 @@ public:
         if (cx->pool_slot != nullptr) {
             cx->pool_slot->store(cx.release(), std::memory_order_release);
         }
+        return cx;
     }
 
     /// Runs `fn` on every idle context, each reserved meanwhile.

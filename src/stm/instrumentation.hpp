@@ -11,6 +11,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/histogram.hpp"
@@ -54,14 +55,24 @@ struct Instrumentation {
     std::array<std::atomic<std::uint64_t>, kMaxTrackedAttempts + 1>
         attempt_buckets{};
 
+    /// attempt_buckets index of a commit on attempt `attempts` (>= 1).
+    [[nodiscard]] static std::uint32_t bucket_of(std::uint32_t attempts) noexcept {
+        return attempts == 0                     ? 0
+               : attempts > kMaxTrackedAttempts ? kMaxTrackedAttempts
+                                                 : attempts - 1;
+    }
+
     /// Records a commit that succeeded on attempt `attempts` (>= 1).
     void record_commit(std::uint32_t attempts) noexcept {
         commits.fetch_add(1, std::memory_order_relaxed);
-        const std::uint32_t bucket =
-            attempts == 0 ? 1
-            : attempts > kMaxTrackedAttempts ? kMaxTrackedAttempts + 1
-                                             : attempts;
-        attempt_buckets[bucket - 1].fetch_add(1, std::memory_order_relaxed);
+        attempt_buckets[bucket_of(attempts)].fetch_add(1,
+                                                       std::memory_order_relaxed);
+    }
+
+    /// Records an aborted attempt (conflict, or Transaction::retry()).
+    void record_abort(bool user_requested) noexcept {
+        (user_requested ? explicit_retries : aborts)
+            .fetch_add(1, std::memory_order_relaxed);
     }
 
     /// Rebuilds the attempts histogram as a value type (overflow mass lands
@@ -77,6 +88,44 @@ struct Instrumentation {
             attempt_buckets[kMaxTrackedAttempts].load(std::memory_order_relaxed);
         if (over) h.add(kMaxTrackedAttempts + 1, over);
         return h;
+    }
+};
+
+/// The attempt loop's counters for one context, as plain integers: what
+/// Stm::atomically records per call, so no call touches a counter shared by
+/// all threads. The runtime folds a tally into the instance block when
+/// Stm::stats() visits the idle context and before the context is
+/// destroyed.
+struct RunTally {
+    std::uint64_t commits = 0;
+    std::uint64_t aborts = 0;
+    std::uint64_t explicit_retries = 0;
+    std::array<std::uint64_t, Instrumentation::kMaxTrackedAttempts + 1>
+        attempt_buckets{};
+
+    void record_commit(std::uint32_t attempts) noexcept {
+        ++commits;
+        ++attempt_buckets[Instrumentation::bucket_of(attempts)];
+    }
+
+    void record_abort(bool user_requested) noexcept {
+        ++(user_requested ? explicit_retries : aborts);
+    }
+
+    /// Adds the tally to `into` and zeroes it.
+    void fold_into(Instrumentation& into) noexcept {
+        if (commits == 0 && aborts == 0 && explicit_retries == 0) return;
+        into.commits.fetch_add(commits, std::memory_order_relaxed);
+        into.aborts.fetch_add(aborts, std::memory_order_relaxed);
+        into.explicit_retries.fetch_add(explicit_retries,
+                                        std::memory_order_relaxed);
+        for (std::size_t i = 0; i < attempt_buckets.size(); ++i) {
+            if (attempt_buckets[i] != 0) {
+                into.attempt_buckets[i].fetch_add(attempt_buckets[i],
+                                                  std::memory_order_relaxed);
+            }
+        }
+        *this = RunTally{};
     }
 };
 

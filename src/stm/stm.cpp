@@ -271,7 +271,10 @@ public:
     void check_in(std::unique_ptr<detail::TxContext> cx) noexcept {
         reclaim_.flush_context(*cx);
         backend_->detach(*cx);
-        pool_.park(std::move(cx));
+        // A context the pool has no slot for is destroyed: fold its tally.
+        if (auto homeless = pool_.park(std::move(cx))) {
+            homeless->run_tally.fold_into(stats_);
+        }
     }
 
     StmConfig config_;
@@ -294,8 +297,10 @@ std::unique_ptr<Stm> Stm::create(const config::Config& cfg) {
 
 StmStats Stm::stats() const noexcept {
     // Idle contexts keep their counters until read (or destroyed).
-    impl_->pool_.for_each_idle(
-        [](detail::TxContext& cx) { cx.flush_stats(); });
+    impl_->pool_.for_each_idle([this](detail::TxContext& cx) {
+        cx.flush_stats();
+        cx.run_tally.fold_into(impl_->stats_);
+    });
     StmStats out = snapshot(impl_->stats_);
     // Allocator counters live on the reclamation domain (they are not
     // per-executor-sharded like Instrumentation), so the instance snapshot
@@ -318,21 +323,8 @@ std::string Stm::backend_description() const {
     return described;
 }
 
-void Stm::run(detail::BodyRef body) {
-    auto cx = impl_->checkout(/*keep_slot=*/true);
-    // Return the context to the pool on every exit path (including
-    // TooMuchContention and user exceptions, where abort() already rolled
-    // the transaction back and the context is quiescent).
-    struct Return {
-        Impl* impl;
-        std::unique_ptr<detail::TxContext>* cx;
-        ~Return() { impl->check_in(std::move(*cx)); }
-    } ret{impl_.get(), &cx};
-    run_in(body, *cx, impl_->stats_);
-}
-
-void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
-                 detail::Instrumentation& stats) {
+template <typename Stats>
+void Stm::run_in(detail::BodyRef body, detail::TxContext& cx, Stats& stats) {
     detail::Backend& backend = *impl_->backend_;
     detail::ReclaimDomain& reclaim = impl_->reclaim_;
     // Iterated-mix64 walk from this context's private starting point — no
@@ -365,9 +357,7 @@ void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
         } catch (const detail::ConflictAbort& conflict) {
             backend.abort(cx);
             reclaim.rollback(cx);
-            auto& counter = conflict.user_requested ? stats.explicit_retries
-                                                    : stats.aborts;
-            counter.fetch_add(1, std::memory_order_relaxed);
+            stats.record_abort(conflict.user_requested);
             if (impl_->config_.max_attempts != 0 &&
                 attempts >= impl_->config_.max_attempts) {
                 throw TooMuchContention(attempts);
@@ -397,13 +387,26 @@ void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
             return;
         }
         reclaim.rollback(cx);
-        stats.aborts.fetch_add(1, std::memory_order_relaxed);
+        stats.record_abort(/*user_requested=*/false);
         if (impl_->config_.max_attempts != 0 &&
             attempts >= impl_->config_.max_attempts) {
             throw TooMuchContention(attempts);
         }
         cm.on_abort();
     }
+}
+
+void Stm::run(detail::BodyRef body) {
+    auto cx = impl_->checkout(/*keep_slot=*/true);
+    // Return the context to the pool on every exit path (including
+    // TooMuchContention and user exceptions, where abort() already rolled
+    // the transaction back and the context is quiescent).
+    struct Return {
+        Impl* impl;
+        std::unique_ptr<detail::TxContext>* cx;
+        ~Return() { impl->check_in(std::move(*cx)); }
+    } ret{impl_.get(), &cx};
+    run_in(body, *cx, cx->run_tally);
 }
 
 std::unique_ptr<Executor> Stm::make_executor() {

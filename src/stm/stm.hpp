@@ -552,6 +552,8 @@ public:
     /// backend's conflict classification (which covers Executor-run
     /// transactions too); Executor commit/abort counts live in the
     /// executors' own shards — merge() them in for an engine-wide view.
+    /// An atomically() call is counted once its context is back in the
+    /// pool, so the counts are exact whenever no call is in flight.
     [[nodiscard]] StmStats stats() const noexcept;
     [[nodiscard]] const StmConfig& config() const noexcept;
 
@@ -581,9 +583,10 @@ private:
     void run(detail::BodyRef body);
 
     /// One attempt loop: begin/body/commit with retries, recording into
-    /// `stats` (an executor's shard or the instance-wide block).
-    void run_in(detail::BodyRef body, detail::TxContext& cx,
-                detail::Instrumentation& stats);
+    /// `stats` (an executor's Instrumentation shard, or the context's own
+    /// RunTally for atomically() calls).
+    template <typename Stats>
+    void run_in(detail::BodyRef body, detail::TxContext& cx, Stats& stats);
 
     class Impl;
     std::unique_ptr<Impl> impl_;

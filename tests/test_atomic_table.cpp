@@ -200,6 +200,43 @@ TEST(AtomicTable, CountersAccumulate) {
     EXPECT_EQ(c.conflicts, 1u);
 }
 
+TEST(AtomicTable, ConcurrentCountersAccumulate) {
+    // Each thread owns one TxId, so it is the only writer of that TxId's
+    // counter shard: the sums must be exact. A foreign release (of an entry
+    // the thread does not hold) changes nothing and counts nothing.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kRounds = 5000;
+    constexpr TxId kParked = kMaxAtomicTx - 1;
+    constexpr std::uint64_t kParkedBlock = 7;
+    AtomicTaglessTable table(direct(8));
+    ASSERT_TRUE(table.acquire_write(kParked, kParkedBlock).ok);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&table, t] {
+            const auto tx = static_cast<TxId>(t);
+            const auto block = static_cast<std::uint64_t>(t);  // own entry
+            for (std::uint64_t i = 0; i < kRounds; ++i) {
+                EXPECT_TRUE(table.acquire_read(tx, block).ok);
+                EXPECT_TRUE(table.acquire_write(tx, block).ok);  // upgrade
+                table.release(tx, block, Mode::kWrite);
+                table.release(tx, block, Mode::kWrite);  // double: no-op
+                EXPECT_FALSE(table.acquire_write(tx, kParkedBlock).ok);
+                table.release(tx, kParkedBlock, Mode::kWrite);  // foreign
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    const TableCounters c = table.counters();
+    EXPECT_EQ(c.read_acquires, kThreads * kRounds);
+    EXPECT_EQ(c.write_acquires, 2 * kThreads * kRounds + 1);  // failed ones too
+    EXPECT_EQ(c.conflicts, kThreads * kRounds);
+    EXPECT_EQ(c.releases, kThreads * kRounds);
+    EXPECT_EQ(table.writer_at(kParkedBlock), kParked);
+    table.release(kParked, kParkedBlock, Mode::kWrite);
+    EXPECT_EQ(table.counters().releases, kThreads * kRounds + 1);
+    EXPECT_EQ(table.occupied_entries(), 0u);
+}
+
 TEST(AtomicTable, ClearAtQuiescence) {
     AtomicTaglessTable t(direct(8));
     t.acquire_write(0, 1);

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stm/stm.hpp"
@@ -32,6 +33,11 @@ StmConfig config_for(BackendKind kind) {
     c.contention.policy = ContentionPolicy::kYield;
     return c;
 }
+
+/// A TVar alone on its 64-byte block.
+struct alignas(64) PaddedVar {
+    TVar<long> v{0};
+};
 
 class StmAllBackends : public ::testing::TestWithParam<BackendKind> {};
 
@@ -192,6 +198,32 @@ TEST_P(StmAllBackends, ConcurrentCountersDontLoseUpdates) {
     }
     for (auto& th : threads) th.join();
     EXPECT_EQ(counter.unsafe_read(), kThreads * kIncrements);
+}
+
+TEST_P(StmAllBackends, ConcurrentAtomicallyCallsAreCountedExactly) {
+    // Each atomically() call counts into its own context; Stm::stats()
+    // folds the idle pooled contexts. Four threads fit in the pool (a
+    // shard holds four), so every count must come back through that fold.
+    Stm tm(config_for(GetParam()));
+    TVar<long> counter{0};
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 400;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < kCalls; ++i) {
+                tm.atomically(
+                    [&](Transaction& tx) { counter.write(tx, counter.read(tx) + 1); });
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    const StmStats stats = tm.stats();
+    EXPECT_EQ(stats.commits, std::uint64_t{kThreads} * kCalls);
+    EXPECT_EQ(stats.attempts_per_commit.total(), stats.commits);
+    // Folding zeroes the tallies: a second read counts nothing twice.
+    EXPECT_EQ(tm.stats().commits, stats.commits);
+    EXPECT_EQ(tm.stats().aborts, stats.aborts);
 }
 
 TEST_P(StmAllBackends, MaxAttemptsThrowsTooMuchContention) {
@@ -439,9 +471,6 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
     // kept its TxId, either step would block forever; a bounded wait turns
     // that into a failure.
     constexpr int kThreads = 72;
-    struct alignas(64) PaddedVar {
-        TVar<long> value;
-    };
     std::vector<StmConfig> configs;
     for (const BackendKind kind :
          {BackendKind::kTaglessTable, BackendKind::kTaggedTable,
@@ -479,7 +508,7 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
                                 }
                             }
                             first = false;
-                            auto& var = vars[static_cast<std::size_t>(t)].value;
+                            auto& var = vars[static_cast<std::size_t>(t)].v;
                             var.write(tx, var.read(tx) + 1);
                         });
                     }
@@ -489,7 +518,7 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
             std::vector<std::unique_ptr<Executor>> executors;
             for (std::uint32_t i = 0; i < cap; ++i) {
                 executors.push_back(tm.make_executor());
-                auto& var = vars[i % vars.size()].value;
+                auto& var = vars[i % vars.size()].v;
                 executors.back()->atomically(
                     [&](Transaction& tx) { var.write(tx, var.read(tx) + 1); });
             }
@@ -506,10 +535,77 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
         }
         finished.get();
         long total = 0;
-        for (const auto& v : vars) total += v.value.unsafe_read();
+        for (const auto& var : vars) total += var.v.unsafe_read();
         EXPECT_EQ(total, kThreads * 4 + static_cast<long>(cap)) << name;
         EXPECT_EQ(tm.occupied_metadata_entries(), 0u) << name;
     }
+}
+
+TEST(StmRuntime, ContextsThePoolCannotTakeFoldTheirCounts) {
+    // Nested atomically() calls on one thread check out one context per
+    // level. A thread's pool shard parks four, so on return the outer
+    // levels' contexts are destroyed; their counts must survive that.
+    Stm tm(config_for(BackendKind::kTaggedTable));
+    constexpr int kDepth = 6;
+    std::vector<PaddedVar> vars(kDepth);
+    const auto nest = [&](auto& self, int depth) -> void {
+        tm.atomically([&](Transaction& tx) {
+            vars[depth].v.write(tx, vars[depth].v.read(tx) + 1);
+            if (depth + 1 < kDepth) self(self, depth + 1);
+        });
+    };
+    nest(nest, 0);
+    EXPECT_EQ(tm.stats().commits, std::uint64_t{kDepth});
+    nest(nest, 0);  // now four levels reuse pooled contexts
+    EXPECT_EQ(tm.stats().commits, std::uint64_t{2 * kDepth});
+    for (const auto& var : vars) EXPECT_EQ(var.v.unsafe_read(), 2);
+}
+
+TEST(StmAtomic, ClassifiesConflictsAgainstTheHoldersFootprint) {
+    // One transaction holds more blocks than its footprint log keeps
+    // inline (32), so the last ones are recorded in the spill. Each probe
+    // by a second transaction (one attempt, no retry) fails on an entry
+    // the holder owns; the holder's footprint decides true vs false.
+    constexpr std::uint64_t kEntries = 64;
+    constexpr std::uint64_t kHeld = 40;
+    StmConfig cfg = config_for(BackendKind::kTaglessAtomic);
+    cfg.table = {.entries = kEntries, .hash = util::HashKind::kShiftMask};
+    cfg.max_attempts = 1;
+    cfg.contention.policy = ContentionPolicy::kNone;
+    Stm tm(cfg);
+    // Line i is block base+i; lines i and i+kEntries alias one entry.
+    std::vector<PaddedVar> lines(2 * kEntries);
+    const auto holder = tm.make_executor();
+    const auto prober = tm.make_executor();
+    const auto probe = [&](std::uint64_t line) {
+        EXPECT_THROW(prober->atomically([&](Transaction& tx) {
+                         (void)lines[line].v.read(tx);
+                     }),
+                     TooMuchContention)
+            << "line " << line;
+        const StmStats s = tm.stats();
+        return std::pair{s.true_conflicts, s.false_conflicts};
+    };
+    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+
+    holder->atomically([&](Transaction& tx) {
+        for (std::uint64_t i = 0; i < kHeld; ++i) {
+            lines[i].v.write(tx, lines[i].v.read(tx) + 1);  // read→write
+        }
+        EXPECT_EQ(probe(0), (Counts{1, 0})) << "same block, inline log";
+        EXPECT_EQ(probe(kEntries + 1), (Counts{1, 1})) << "aliasing block";
+        EXPECT_EQ(probe(kHeld - 1), (Counts{2, 1})) << "same block, spill";
+    });
+    // The commit emptied the footprint, spill included: the same entries
+    // held through other blocks make the old blocks false conflicts.
+    holder->atomically([&](Transaction& tx) {
+        for (std::uint64_t i = 0; i < kHeld; ++i) {
+            lines[kEntries + i].v.write(tx, 1);
+        }
+        EXPECT_EQ(probe(kHeld - 1), (Counts{2, 2})) << "stale spill";
+        EXPECT_EQ(probe(kEntries + kHeld - 1), (Counts{3, 2}));
+    });
+    EXPECT_EQ(tm.occupied_metadata_entries(), 0u);
 }
 
 TEST(StmRuntime, IndependentInstancesDoNotInterfere) {
