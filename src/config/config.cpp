@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -121,33 +123,45 @@ std::uint64_t Config::get_u64(std::string_view key,
     if (!e) return fallback;
     e->used = true;
     const std::string& v = e->value;
+    const auto reject = [&](const std::string& why) {
+        return std::invalid_argument("config: key '" + std::string(key) +
+                                     "' " + why + ": '" + v + "'");
+    };
     // strtoull silently wraps negatives to huge values; reject them with the
     // proper diagnostic instead.
     if (v.find('-') != std::string::npos) {
-        throw std::invalid_argument("config: key '" + std::string(key) +
-                                    "' is not a non-negative integer: '" + v +
-                                    "'");
+        throw reject("is not a non-negative integer");
     }
     char* end = nullptr;
+    errno = 0;
     const std::uint64_t out = std::strtoull(v.c_str(), &end, 0);
-    if (end == v.c_str()) {
-        throw std::invalid_argument("config: key '" + std::string(key) +
-                                    "' is not an integer: '" + v + "'");
-    }
+    if (end == v.c_str()) throw reject("is not an integer");
+    if (errno == ERANGE) throw reject("does not fit in 64 bits");
     // Size suffixes: "64k" and "1m".
     if (end && *end != '\0') {
         const std::string rest = lower(end);
-        if (rest == "k") return out * 1024;
-        if (rest == "m") return out * 1024 * 1024;
-        throw std::invalid_argument("config: trailing characters in integer '" +
-                                    v + "' for key '" + std::string(key) + "'");
+        const std::uint64_t scale =
+            rest == "k" ? 1024 : (rest == "m" ? 1024 * 1024 : 0);
+        if (scale == 0) {
+            throw std::invalid_argument(
+                "config: trailing characters in integer '" + v +
+                "' for key '" + std::string(key) + "'");
+        }
+        if (out > UINT64_MAX / scale) throw reject("does not fit in 64 bits");
+        return out * scale;
     }
     return out;
 }
 
 std::uint32_t Config::get_u32(std::string_view key,
                               std::uint32_t fallback) const {
-    return static_cast<std::uint32_t>(get_u64(key, fallback));
+    const std::uint64_t out = get_u64(key, fallback);
+    if (out > UINT32_MAX) {
+        throw std::invalid_argument("config: key '" + std::string(key) +
+                                    "' = " + std::to_string(out) +
+                                    " does not fit in 32 bits");
+    }
+    return static_cast<std::uint32_t>(out);
 }
 
 double Config::get_double(std::string_view key, double fallback) const {

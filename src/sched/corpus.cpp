@@ -139,37 +139,23 @@ std::size_t Corpus::sync() {
 // The guided fuzz loop
 // ---------------------------------------------------------------------------
 
-FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
+FuzzResult fuzz_explore(const Subject& subject, const FuzzOptions& opts,
                         Corpus& corpus) {
-    HarnessConfig run_cfg = cfg;
-    if (opts.step_limit != 0) {
-        run_cfg.step_limit = std::min(cfg.step_limit, opts.step_limit);
-    }
-    const auto programs = generate_programs(run_cfg);
+    const std::uint64_t step_budget =
+        opts.step_limit != 0 ? opts.step_limit : kNoStepBudget;
     FuzzResult out;
     util::Xoshiro256 rng(opts.seed);
 
-    const auto replay = [&](const std::string& picks) {
-        config::Config sc;
-        sc.set("sched", "replay");
-        sc.set("schedule", picks);
-        const auto sch = make_schedule(sc, 0);
-        return run_schedule(run_cfg, programs, *sch);
-    };
-
-    // Completed runs face the full serializability oracle. Cancelled runs
-    // (step cap hit — e.g. a livelocking mutant) face the prefix oracle:
-    // whatever committed before the cap must form a consistent history.
-    const auto oracle = [&](const RunResult& run) {
-        const auto error =
-            run.cancelled ? check_prefix_consistent(run_cfg, programs, run)
-                          : check_serializable(run_cfg, programs, run);
-        if (error) {
-            Violation v;
-            v.schedule = run.schedule;
-            v.repro = repro_line(cfg, run.schedule);
-            v.message = *error + "\n  repro: " + v.repro;
-            out.violations.push_back(std::move(v));
+    // Completed runs face the subject's full oracle; cancelled runs (step
+    // cap hit — e.g. a livelocking mutant) its prefix oracle: whatever
+    // committed before the cap must form a consistent history.
+    const auto record = [&](const Outcome& run) {
+        ++out.runs;
+        out.stats.merge(run.trace.stats);
+        out.sites_seen |= run.trace.sites_seen;
+        if (run.verdict) {
+            out.violations.push_back(
+                violation(subject, run.trace.schedule, *run.verdict));
         }
     };
 
@@ -178,19 +164,17 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
     // still reproduces the signature. Shrink probes are full oracle-checked
     // runs and count against the budget; signatures they stumble into are
     // observed (they count as reached) but not retained.
-    const auto retain = [&](const RunResult& run) {
+    const auto retain = [&](const Trace& run) {
         std::string kept = run.schedule;
         if (opts.shrink && kept.size() > 1 && out.runs < opts.budget) {
             const std::uint64_t cap =
                 std::min(opts.shrink_probes, opts.budget - out.runs);
             const auto same_signature = [&](const std::string& cand) {
-                const RunResult probe = replay(cand);
-                ++out.runs;
-                out.stats.merge(probe.stats);
-                out.sites_seen |= probe.sites_seen;
-                oracle(probe);
-                (void)corpus.observe(probe.signature);
-                return probe.signature == run.signature;
+                const Outcome probe =
+                    replay_schedule(subject, cand, step_budget);
+                record(probe);
+                (void)corpus.observe(probe.trace.signature);
+                return probe.trace.signature == run.signature;
             };
             kept = shrink_schedule(std::move(kept), same_signature, cap);
         }
@@ -204,13 +188,10 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
     for (std::uint64_t i = 0; i < opts.init && out.runs < opts.budget; ++i) {
         const auto sch =
             make_schedule(random_cfg, util::mix64(opts.seed ^ (i + 1)));
-        const RunResult run = run_schedule(run_cfg, programs, *sch);
-        ++out.runs;
-        out.stats.merge(run.stats);
-        out.sites_seen |= run.sites_seen;
-        oracle(run);
+        const Outcome run = subject.run(*sch, step_budget);
+        record(run);
         if (opts.stop_at_first && !out.violations.empty()) return out;
-        if (corpus.observe(run.signature)) retain(run);
+        if (corpus.observe(run.trace.signature)) retain(run.trace);
     }
 
     constexpr std::size_t kNoBase = static_cast<std::size_t>(-1);
@@ -224,24 +205,22 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
         // gradient toward a behavior; the mix keeps feeding the corpus
         // interleavings from the whole space, AFL-havoc style.
         std::size_t base_idx = kNoBase;
-        RunResult run;
+        Outcome outcome;
         if (corpus.empty() || rng.below(8) == 0) {
             const auto sch = make_schedule(random_cfg, rng());
-            run = run_schedule(run_cfg, programs, *sch);
+            outcome = subject.run(*sch, step_budget);
         } else {
             base_idx = corpus.select(rng);
             ++corpus.entry(base_idx).trials;
             const std::string mutant =
                 mutate_schedule(corpus.entry(base_idx).schedule,
                                 corpus.entry(corpus.select(rng)).schedule,
-                                cfg.threads, rng);
-            run = replay(mutant);
+                                subject.threads(), rng);
+            outcome = replay_schedule(subject, mutant, step_budget);
         }
-        ++out.runs;
+        const Trace& run = outcome.trace;
         ++since_sync;
-        out.stats.merge(run.stats);
-        out.sites_seen |= run.sites_seen;
-        oracle(run);
+        record(outcome);
         if (opts.stop_at_first && !out.violations.empty()) return out;
         if (corpus.observe(run.signature)) {
             ++out.new_coverage_mutants;
@@ -261,14 +240,9 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
             ++out.runs;
             ++out.kill_checks;
             if (const auto error =
-                    check_kill_point(run_cfg, programs, run.schedule, kill)) {
-                Violation v;
-                v.schedule = run.schedule;
-                v.repro = repro_line(cfg, run.schedule) +
-                          " --kill_step=" + std::to_string(kill);
-                v.message = "kill-point (step " + std::to_string(kill) +
-                            "): " + *error + "\n  repro: " + v.repro;
-                out.violations.push_back(std::move(v));
+                    check_kill_point(subject, run.schedule, kill)) {
+                out.violations.push_back(
+                    violation(subject, run.schedule, *error, kill));
             }
         }
 

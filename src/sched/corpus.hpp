@@ -3,10 +3,11 @@
 // A Corpus holds the schedule strings that each first reached a distinct
 // behavior signature (sched/coverage.hpp), ranked by *yield*: how many
 // further distinct signatures that entry's mutants went on to reach. The
-// fuzz loop (fuzz_explore) seeds the corpus with a handful of random runs,
-// then repeatedly picks a base entry (yield-weighted), mutates its
-// schedule string (sched/schedule.hpp mutators), replays the mutant under
-// the full serializability oracle, and keeps it iff its signature is new —
+// fuzz loop (fuzz_explore) runs against any sched::Subject — generated
+// programs or the service alike. It seeds the corpus with a handful of
+// random runs, then repeatedly picks a base entry (yield-weighted), mutates
+// its schedule string (sched/schedule.hpp mutators), replays the mutant
+// under the subject's oracle, and keeps it iff its signature is new —
 // optionally ddmin-shrinking the kept string to the shortest prefix-free
 // form that still reproduces the signature.
 //
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "sched/coverage.hpp"
-#include "sched/harness.hpp"
+#include "sched/subject.hpp"
 #include "util/rng.hpp"
 
 namespace tmb::sched {
@@ -97,7 +98,7 @@ struct FuzzOptions {
     std::uint64_t shrink_probes = 24;  ///< probe cap per retained entry
     std::uint64_t kill_every = 0;  ///< every N runs, one kill-point check
                                    ///  at a random step (0 = off)
-    /// Step cap per fuzz run (0 = inherit cfg.step_limit). Mutants can land
+    /// Step cap per fuzz run (0 = the subject's step_limit). Mutants can land
     /// on livelocking interleavings — two threads perpetually abort-retrying
     /// each other under a periodic tail — which are legal behaviors (the STM
     /// guarantees no such liveness property under adversarial scheduling)
@@ -109,23 +110,22 @@ struct FuzzOptions {
     bool stop_at_first = false;
 };
 
-/// Aggregate of one fuzz_explore campaign.
-struct FuzzResult {
-    std::uint64_t runs = 0;         ///< harness runs executed (= budget spent)
+/// Aggregate of one fuzz_explore campaign: runs counts every harness run
+/// executed (= budget spent), stats are merged over all of them.
+struct FuzzResult : ExploreResult {
     std::uint64_t kill_checks = 0;  ///< kill-point oracle invocations
     std::uint64_t new_coverage_mutants = 0;  ///< mutants with a new signature
-    std::vector<Violation> violations;
-    stm::StmStats stats;  ///< merged over all runs
-    /// OR of every run's RunResult::sites_seen — which YieldSites the whole
+    /// OR of every run's Trace::sites_seen — which YieldSites the whole
     /// campaign reached (reachability assertions for new decision sites).
     std::uint32_t sites_seen = 0;
 };
 
-/// Coverage-guided schedule fuzzing over `cfg`'s workload. The caller owns
+/// Coverage-guided schedule fuzzing over `subject`. The caller owns
 /// `corpus` (pre-seeded or empty; pass one constructed with a directory to
-/// share across processes). Every run is oracle-checked; violations carry
-/// repro lines like explore()'s.
-[[nodiscard]] FuzzResult fuzz_explore(const HarnessConfig& cfg,
+/// share across processes). Every run is oracle-checked (cancelled runs by
+/// the subject's prefix oracle); violations carry repro lines like
+/// explore()'s.
+[[nodiscard]] FuzzResult fuzz_explore(const Subject& subject,
                                       const FuzzOptions& opts, Corpus& corpus);
 
 }  // namespace tmb::sched

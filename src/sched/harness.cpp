@@ -1,17 +1,11 @@
 #include "sched/harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <exception>
-#include <semaphore>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 
-#include "sched/coverage.hpp"
-#include "sched/turnstile.hpp"
 #include "stm/sched_hook.hpp"
 #include "stm/txalloc.hpp"
 #include "util/hash.hpp"
@@ -20,9 +14,6 @@
 namespace tmb::sched {
 
 namespace {
-
-using stm::detail::YieldPoint;
-using stm::detail::YieldSite;
 
 /// The shared words all runs execute over: one 64-byte block per slot in a
 /// process-static 64-byte-aligned arena. A static arena means every run in
@@ -128,10 +119,6 @@ private:
 }
 
 void validate(const HarnessConfig& cfg, const stm::Stm& tm) {
-    if (cfg.threads == 0 || cfg.threads > kMaxScheduleThreads) {
-        throw std::invalid_argument("sched harness: threads must be in [1, " +
-                                    std::to_string(kMaxScheduleThreads) + "]");
-    }
     if (cfg.threads > tm.max_live_executors()) {
         throw std::invalid_argument(
             "sched harness: threads=" + std::to_string(cfg.threads) +
@@ -160,8 +147,8 @@ void validate(const HarnessConfig& cfg, const stm::Stm& tm) {
 // Config plumbing
 // ---------------------------------------------------------------------------
 
-HarnessConfig harness_config_from(const config::Config& cfg) {
-    HarnessConfig out;
+StmSelection stm_selection_from(const config::Config& cfg) {
+    StmSelection out;
     out.backend = cfg.get("backend", out.backend);
     out.table = cfg.get("table", out.table);
     out.entries = cfg.get_u64("entries", out.entries);
@@ -172,6 +159,12 @@ HarnessConfig harness_config_from(const config::Config& cfg) {
     out.policy = cfg.get("policy", out.policy);
     out.epoch = cfg.get_u64("epoch", out.epoch);
     out.max_entries = cfg.get_u64("max_entries", out.max_entries);
+    return out;
+}
+
+HarnessConfig harness_config_from(const config::Config& cfg) {
+    HarnessConfig out;
+    static_cast<StmSelection&>(out) = stm_selection_from(cfg);
     out.threads = cfg.get_u32("threads", out.threads);
     out.txs_per_thread = cfg.get_u32("txs", out.txs_per_thread);
     out.ops_per_tx = cfg.get_u32("ops", out.ops_per_tx);
@@ -203,21 +196,21 @@ HarnessConfig harness_config_from(const config::Config& cfg) {
     return out;
 }
 
-config::Config stm_spec(const HarnessConfig& cfg) {
+config::Config stm_spec(const StmSelection& sel) {
     config::Config out;
-    out.set("backend", cfg.backend);
-    if (cfg.backend == "table" || cfg.backend == "adaptive") {
-        out.set("table", cfg.table);
+    out.set("backend", sel.backend);
+    if (sel.backend == "table" || sel.backend == "adaptive") {
+        out.set("table", sel.table);
     }
-    if (cfg.backend == "adaptive") {
-        if (!cfg.engine.empty()) out.set("engine", cfg.engine);
-        if (!cfg.policy.empty()) out.set("policy", cfg.policy);
-        if (cfg.epoch != 0) out.set("epoch", std::to_string(cfg.epoch));
-        if (cfg.max_entries != 0) {
-            out.set("max_entries", std::to_string(cfg.max_entries));
+    if (sel.backend == "adaptive") {
+        if (!sel.engine.empty()) out.set("engine", sel.engine);
+        if (!sel.policy.empty()) out.set("policy", sel.policy);
+        if (sel.epoch != 0) out.set("epoch", std::to_string(sel.epoch));
+        if (sel.max_entries != 0) {
+            out.set("max_entries", std::to_string(sel.max_entries));
         }
     }
-    out.set("entries", std::to_string(cfg.entries));
+    out.set("entries", std::to_string(sel.entries));
     out.set("block_bytes", "64");
     // Determinism pins: shift-mask makes ownership-table aliasing a pure
     // function of slot distances (ASLR-proof), `none` removes sleeps and
@@ -227,30 +220,40 @@ config::Config stm_spec(const HarnessConfig& cfg) {
     // Shard count is pinned (not hardware concurrency): which shard a
     // context binds to must not depend on the machine replaying a schedule.
     out.set("reclaim_shards", "2");
+    if (sel.commit_time_locks) out.set("commit_time_locks", "1");
+    if (!sel.clock.empty()) out.set("clock", sel.clock);
+    return out;
+}
+
+config::Config stm_spec(const HarnessConfig& cfg) {
+    config::Config out = stm_spec(static_cast<const StmSelection&>(cfg));
     if (cfg.cache_blocks >= 0) {
         out.set("cache_blocks", std::to_string(cfg.cache_blocks));
     }
-    if (cfg.commit_time_locks) out.set("commit_time_locks", "1");
-    if (!cfg.clock.empty()) out.set("clock", cfg.clock);
+    return out;
+}
+
+std::string repro_flags(const StmSelection& sel) {
+    std::string out = "--backend=" + sel.backend;
+    if (sel.backend == "table" || sel.backend == "adaptive") {
+        out += " --table=" + sel.table;
+    }
+    if (sel.backend == "adaptive") {
+        if (!sel.engine.empty()) out += " --engine=" + sel.engine;
+        if (!sel.policy.empty()) out += " --policy=" + sel.policy;
+        if (sel.epoch != 0) out += " --epoch=" + std::to_string(sel.epoch);
+        if (sel.max_entries != 0) {
+            out += " --max_entries=" + std::to_string(sel.max_entries);
+        }
+    }
+    if (sel.commit_time_locks) out += " --commit_time_locks=1";
+    if (!sel.clock.empty()) out += " --clock=" + sel.clock;
+    out += " --entries=" + std::to_string(sel.entries);
     return out;
 }
 
 std::string repro_flags(const HarnessConfig& cfg) {
-    std::string out = "--backend=" + cfg.backend;
-    if (cfg.backend == "table" || cfg.backend == "adaptive") {
-        out += " --table=" + cfg.table;
-    }
-    if (cfg.backend == "adaptive") {
-        if (!cfg.engine.empty()) out += " --engine=" + cfg.engine;
-        if (!cfg.policy.empty()) out += " --policy=" + cfg.policy;
-        if (cfg.epoch != 0) out += " --epoch=" + std::to_string(cfg.epoch);
-        if (cfg.max_entries != 0) {
-            out += " --max_entries=" + std::to_string(cfg.max_entries);
-        }
-    }
-    if (cfg.commit_time_locks) out += " --commit_time_locks=1";
-    if (!cfg.clock.empty()) out += " --clock=" + cfg.clock;
-    out += " --entries=" + std::to_string(cfg.entries);
+    std::string out = repro_flags(static_cast<const StmSelection&>(cfg));
     out += " --threads=" + std::to_string(cfg.threads);
     out += " --txs=" + std::to_string(cfg.txs_per_thread);
     out += " --ops=" + std::to_string(cfg.ops_per_tx);
@@ -264,10 +267,6 @@ std::string repro_flags(const HarnessConfig& cfg) {
         out += " --cache_blocks=" + std::to_string(cfg.cache_blocks);
     }
     return out;
-}
-
-std::string repro_line(const HarnessConfig& cfg, const std::string& schedule) {
-    return "sched_explorer " + repro_flags(cfg) + " --schedule=" + schedule;
 }
 
 // ---------------------------------------------------------------------------
@@ -359,188 +358,114 @@ RunResult run_schedule(const HarnessConfig& cfg,
     // reserve once instead of growing on the hot turnstile path.
     result.commit_log.reserve(std::size_t{cfg.threads} * cfg.txs_per_thread);
     result.schedule.reserve(256);
-    Turnstile ts(cfg.threads);
 
-    std::vector<std::thread> workers;
-    workers.reserve(cfg.threads);
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        workers.emplace_back([&, t] {
-            WorkerHook hook(ts, t);
-            stm::detail::SchedulerHook* previous =
-                stm::detail::install_scheduler_hook(&hook);
-            std::exception_ptr error;
-            try {
-                stm::Executor& exec = *executors[t];
-                for (std::uint32_t k = 0; k < cfg.txs_per_thread; ++k) {
-                    const TxProgram& prog = programs[t][k];
-                    CommitRecord rec;
-                    rec.reads.reserve(prog.ops.size());
-                    rec.writes.reserve(prog.ops.size());
-                    // The body re-executes per attempt; only the successful
-                    // attempt's records survive (cleared on entry).
-                    exec.atomically([&](stm::Transaction& tx) {
-                        rec.reads.clear();
-                        rec.writes.clear();
-                        rec.begin_commits = result.commit_log.size();
-                        // Dyn: nodes this attempt already tx_free'd. Broken
-                        // reclamation can recycle one address into two
-                        // slots; freeing it twice must become a reported
-                        // violation, not a logic_error out of record_free.
-                        std::vector<DynNode*> freed;
-                        std::uint64_t acc = tx_seed(cfg, t, k);
-                        for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-                            const TxOp& op = prog.ops[i];
-                            std::uint64_t v = 0;
-                            DynNode* node = nullptr;
-                            bool node_ok = false;
-                            if (cfg.dynamic) {
-                                node = std::bit_cast<DynNode*>(
-                                    tx.load(slot_addr(op.slot)));
-                                // The lifetime oracle: dereferencing a
-                                // released block is the failure epoch
-                                // reclamation exists to prevent — report it
-                                // and read 0 instead of touching freed
-                                // memory (doomed readers included).
-                                const auto uar = [&] {
-                                    tracker.record(
-                                        "use-after-reclaim: thread " +
-                                        std::to_string(t) +
-                                        " touched the released node of "
-                                        "slot " +
-                                        std::to_string(op.slot));
-                                };
-                                if (node == nullptr) {
-                                    tracker.record(
-                                        "thread " + std::to_string(t) +
-                                        " read a null node from slot " +
-                                        std::to_string(op.slot));
-                                } else if (tracker.released(node)) {
-                                    uar();
-                                } else {
-                                    node_ok = true;
-                                    // The load yields before it reads, so
-                                    // the node can be released while this
-                                    // attempt is parked holding the
-                                    // pointer: re-check after it returns,
-                                    // and on the abort path a doomed
-                                    // reader takes when its snapshot
-                                    // validation fails.
-                                    try {
-                                        v = tx.load(&node->value_word);
-                                    } catch (...) {
-                                        if (tracker.released(node)) uar();
-                                        throw;
-                                    }
-                                    if (tracker.released(node)) uar();
-                                }
-                            } else {
-                                v = tx.load(slot_addr(op.slot));
+    const auto body = [&](std::uint32_t t) {
+        stm::Executor& exec = *executors[t];
+        for (std::uint32_t k = 0; k < cfg.txs_per_thread; ++k) {
+            const TxProgram& prog = programs[t][k];
+            CommitRecord rec;
+            rec.reads.reserve(prog.ops.size());
+            rec.writes.reserve(prog.ops.size());
+            // The body re-executes per attempt; only the successful
+            // attempt's records survive (cleared on entry).
+            exec.atomically([&](stm::Transaction& tx) {
+                rec.reads.clear();
+                rec.writes.clear();
+                rec.begin_commits = result.commit_log.size();
+                // Dyn: nodes this attempt already tx_free'd. Broken
+                // reclamation can recycle one address into two
+                // slots; freeing it twice must become a reported
+                // violation, not a logic_error out of record_free.
+                std::vector<DynNode*> freed;
+                std::uint64_t acc = tx_seed(cfg, t, k);
+                for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+                    const TxOp& op = prog.ops[i];
+                    std::uint64_t v = 0;
+                    DynNode* node = nullptr;
+                    bool node_ok = false;
+                    if (cfg.dynamic) {
+                        node = std::bit_cast<DynNode*>(
+                            tx.load(slot_addr(op.slot)));
+                        // The lifetime oracle: dereferencing a
+                        // released block is the failure epoch
+                        // reclamation exists to prevent — report it
+                        // and read 0 instead of touching freed
+                        // memory (doomed readers included).
+                        const auto uar = [&] {
+                            tracker.record(
+                                "use-after-reclaim: thread " +
+                                std::to_string(t) +
+                                " touched the released node of "
+                                "slot " +
+                                std::to_string(op.slot));
+                        };
+                        if (node == nullptr) {
+                            tracker.record(
+                                "thread " + std::to_string(t) +
+                                " read a null node from slot " +
+                                std::to_string(op.slot));
+                        } else if (tracker.released(node)) {
+                            uar();
+                        } else {
+                            node_ok = true;
+                            // The load yields before it reads, so
+                            // the node can be released while this
+                            // attempt is parked holding the
+                            // pointer: re-check after it returns,
+                            // and on the abort path a doomed
+                            // reader takes when its snapshot
+                            // validation fails.
+                            try {
+                                v = tx.load(&node->value_word);
+                            } catch (...) {
+                                if (tracker.released(node)) uar();
+                                throw;
                             }
-                            rec.reads.push_back({op.slot, v});
-                            acc = util::mix64(acc ^ v);
-                            if (op.is_write) {
-                                const std::uint64_t nv =
-                                    cfg.commutative
-                                        ? v + op_delta(cfg, t, k, i)
-                                        : util::mix64(acc);
-                                if (cfg.dynamic) {
-                                    DynNode* fresh = tx.tx_alloc<DynNode>(nv);
-                                    tx.store(
-                                        slot_addr(op.slot),
-                                        std::bit_cast<std::uint64_t>(fresh));
-                                    if (node_ok &&
-                                        std::find(freed.begin(), freed.end(),
-                                                  node) != freed.end()) {
-                                        tracker.record(
-                                            "one node reached two slots — "
-                                            "second tx_free averted");
-                                    } else if (node_ok) {
-                                        tx.tx_free(node);
-                                        freed.push_back(node);
-                                    }
-                                } else {
-                                    tx.store(slot_addr(op.slot), nv);
-                                }
-                                rec.writes.push_back({op.slot, nv});
-                            }
+                            if (tracker.released(node)) uar();
                         }
-                    });
-                    rec.thread = t;
-                    rec.tx_index = k;
-                    // Commit-log position == commit order: between the
-                    // backend's commit and this push no yield point runs,
-                    // so no other virtual thread can slip in between.
-                    result.commit_log.push_back(std::move(rec));
+                    } else {
+                        v = tx.load(slot_addr(op.slot));
+                    }
+                    rec.reads.push_back({op.slot, v});
+                    acc = util::mix64(acc ^ v);
+                    if (op.is_write) {
+                        const std::uint64_t nv =
+                            cfg.commutative
+                                ? v + op_delta(cfg, t, k, i)
+                                : util::mix64(acc);
+                        if (cfg.dynamic) {
+                            DynNode* fresh = tx.tx_alloc<DynNode>(nv);
+                            tx.store(
+                                slot_addr(op.slot),
+                                std::bit_cast<std::uint64_t>(fresh));
+                            if (node_ok &&
+                                std::find(freed.begin(), freed.end(),
+                                          node) != freed.end()) {
+                                tracker.record(
+                                    "one node reached two slots — "
+                                    "second tx_free averted");
+                            } else if (node_ok) {
+                                tx.tx_free(node);
+                                freed.push_back(node);
+                            }
+                        } else {
+                            tx.store(slot_addr(op.slot), nv);
+                        }
+                        rec.writes.push_back({op.slot, nv});
+                    }
                 }
-            } catch (const HarnessCancelled&) {
-                // Step budget exhausted: unwind quietly.
-            } catch (...) {
-                error = std::current_exception();
-            }
-            stm::detail::install_scheduler_hook(previous);
-            ts.worker_finish(t, std::move(error));
-        });
-    }
-
-    // Workers race freely only up to their first yield point (which every
-    // one reaches before touching shared state); from here on the turnstile
-    // admits exactly one at a time.
-    ts.await_parked(cfg.threads);
-
-    std::uint64_t runnable = 0;
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        if (!ts.finished(t)) runnable |= std::uint64_t{1} << t;
-    }
-
-    CoverageAccumulator coverage;
-    while (runnable != 0) {
-        const std::uint32_t pick = schedule.pick(runnable, result.steps);
-        if (pick >= 64 || ((runnable >> pick) & 1) == 0) {
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            for (auto& w : workers) w.join();
-            throw std::logic_error(
-                "sched harness: schedule picked a non-runnable thread " +
-                std::to_string(pick));
+            });
+            rec.thread = t;
+            rec.tx_index = k;
+            // Commit-log position == commit order: between the
+            // backend's commit and this push no yield point runs,
+            // so no other virtual thread can slip in between.
+            result.commit_log.push_back(std::move(rec));
         }
-        result.schedule.push_back(thread_to_char(pick));
-        const std::size_t commits_before = result.commit_log.size();
-        ts.grant(pick);
-        ++result.steps;
-
-        if (ts.finished(pick)) {
-            runnable &= ~(std::uint64_t{1} << pick);
-            schedule.observe(pick, Event::kThreadDone);
-            coverage.finish(pick);
-        } else {
-            coverage.step(pick, ts.last_point(pick), ts.last_site(pick));
-            result.sites_seen |=
-                std::uint32_t{1} << static_cast<std::uint32_t>(
-                    ts.last_site(pick));
-            if (ts.last_point(pick) == YieldPoint::kRetry) {
-                schedule.observe(pick, Event::kAbort);
-            }
-        }
-        if (result.commit_log.size() > commits_before) {
-            schedule.observe(pick, Event::kCommit);
-        }
-
-        if (result.steps >= cfg.step_limit && runnable != 0) {
-            result.cancelled = true;
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            break;
-        }
-    }
-
-    for (auto& w : workers) w.join();
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        if (ts.error(t)) std::rethrow_exception(ts.error(t));
-    }
+    };
+    const CoverageAccumulator coverage = drive_schedule(
+        cfg.threads, schedule, cfg.step_limit, body,
+        [&] { return result.commit_log.size(); }, result);
 
     result.final_state.resize(cfg.slots);
     std::uint64_t h = 0x5eedc0de ^ cfg.slots;
@@ -792,59 +717,25 @@ std::optional<std::string> check_prefix_consistent(
     return oracle_core(cfg, programs, run, /*require_complete=*/false);
 }
 
-std::optional<std::string> check_kill_point(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    const std::string& schedule, std::uint64_t kill_step) {
-    HarnessConfig killed = cfg;
-    killed.step_limit = kill_step;
-    config::Config sc;
-    sc.set("sched", "replay");
-    sc.set("schedule", schedule);
-    const auto sch = make_schedule(sc, 0);
-    const RunResult run = run_schedule(killed, programs, *sch);
-    // A run that finishes before the kill point fires must pass the full
-    // oracle; a killed run must leave a prefix-consistent history.
-    if (!run.cancelled) return check_serializable(killed, programs, run);
-    return check_prefix_consistent(killed, programs, run);
-}
-
 // ---------------------------------------------------------------------------
-// Exploration / differential / minimization
+// The generated-programs subject / differential oracle
 // ---------------------------------------------------------------------------
 
-namespace {
+ProgramSubject::ProgramSubject(HarnessConfig cfg)
+    : cfg_(std::move(cfg)), programs_(generate_programs(cfg_)) {}
 
-[[nodiscard]] Violation make_violation(const HarnessConfig& cfg,
-                                       const RunResult& run,
-                                       const std::string& error) {
-    Violation v;
-    v.schedule = run.schedule;
-    v.repro = repro_line(cfg, run.schedule);
-    v.message = error + "\n  repro: " + v.repro;
-    return v;
+std::string ProgramSubject::repro_flags() const {
+    return sched::repro_flags(cfg_);
 }
 
-[[nodiscard]] std::uint64_t run_seed(std::uint64_t base, std::uint64_t n) {
-    return util::mix64(base + n * 0x9e3779b97f4a7c15ULL + 1);
-}
-
-}  // namespace
-
-ExploreResult explore(const HarnessConfig& cfg, const config::Config& sched_cfg,
-                      std::uint64_t count, std::uint64_t base_seed) {
-    const auto programs = generate_programs(cfg);
-    ExploreResult out;
-    for (std::uint64_t n = 0; n < count; ++n) {
-        const auto schedule = make_schedule(sched_cfg, run_seed(base_seed, n));
-        const RunResult run = run_schedule(cfg, programs, *schedule);
-        ++out.runs;
-        out.stats.merge(run.stats);
-        if (const auto error = check_serializable(cfg, programs, run)) {
-            out.violations.push_back(make_violation(cfg, run, *error));
-        }
-    }
-    return out;
+Outcome ProgramSubject::run(Schedule& schedule,
+                            std::uint64_t step_budget) const {
+    HarnessConfig cfg = cfg_;
+    cfg.step_limit = std::min(cfg.step_limit, step_budget);
+    RunResult run = run_schedule(cfg, programs_, schedule);
+    auto verdict = run.cancelled ? check_prefix_consistent(cfg, programs_, run)
+                                 : check_serializable(cfg, programs_, run);
+    return {static_cast<Trace&&>(run), std::move(verdict)};
 }
 
 std::string BackendPair::label() const {
@@ -852,6 +743,12 @@ std::string BackendPair::label() const {
     if (!table.empty()) out += "/" + table;
     if (commit_time_locks) out += "/lazy";
     return out;
+}
+
+void BackendPair::apply(StmSelection& sel) const {
+    sel.backend = backend;
+    if (!table.empty()) sel.table = table;
+    sel.commit_time_locks = commit_time_locks;
 }
 
 std::vector<BackendPair> default_backend_pairs() {
@@ -882,9 +779,7 @@ std::optional<std::string> run_differential(
 
     const auto pair_cfg = [&](const BackendPair& pair) {
         HarnessConfig pc = cfg;
-        pc.backend = pair.backend;
-        if (!pair.table.empty()) pc.table = pair.table;
-        pc.commit_time_locks = pair.commit_time_locks;
+        pair.apply(pc);
         return pc;
     };
 
@@ -895,9 +790,9 @@ std::optional<std::string> run_differential(
         const auto schedule = make_schedule(sched_cfg, seed);
         RunResult run = run_schedule(pc, programs, *schedule);
         if (const auto error = check_serializable(pc, programs, run)) {
-            const auto v = make_violation(pc, run, *error);
             if (runs_out) *runs_out = std::move(runs);
-            return pair.label() + ": " + v.message;
+            return pair.label() + ": " + *error + "\n  repro: " +
+                   repro_line(repro_flags(pc), run.schedule);
         }
         runs.push_back(std::move(run));
     }
@@ -910,7 +805,8 @@ std::optional<std::string> run_differential(
                       " on the identical workload and schedule seed " +
                       std::to_string(seed) + "\n  repro (" +
                       pairs[i].label() + "): " +
-                      repro_line(pair_cfg(pairs[i]), runs[i].schedule);
+                      repro_line(repro_flags(pair_cfg(pairs[i])),
+                                 runs[i].schedule);
         }
     }
 
@@ -953,21 +849,6 @@ std::optional<std::string> run_differential(
 
     if (runs_out) *runs_out = std::move(runs);
     return verdict;
-}
-
-std::string minimize_schedule(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    std::string schedule) {
-    const auto fails = [&](const std::string& picks) {
-        config::Config sc;
-        sc.set("sched", "replay");
-        sc.set("schedule", picks);
-        const auto sch = make_schedule(sc, 0);
-        const RunResult run = run_schedule(cfg, programs, *sch);
-        return check_serializable(cfg, programs, run).has_value();
-    };
-    return shrink_schedule(std::move(schedule), fails);
 }
 
 }  // namespace tmb::sched

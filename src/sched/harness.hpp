@@ -54,6 +54,7 @@
 
 #include "config/config.hpp"
 #include "sched/schedule.hpp"
+#include "sched/subject.hpp"
 #include "stm/stm.hpp"
 
 namespace tmb::sched {
@@ -65,10 +66,9 @@ namespace tmb::sched {
 /// to exist at all).
 inline constexpr std::uint32_t kMaxSlots = 4096;
 
-/// One exploration subject: workload shape + STM selection. Parsed from the
-/// same `--key=value` vocabulary as every other driver.
-struct HarnessConfig {
-    // --- STM selection (forwarded to stm::Stm::create) ---
+/// The STM a scheduled run executes over, shared by every subject's config
+/// (HarnessConfig here, svc::SvcHarnessConfig for the service).
+struct StmSelection {
     std::string backend = "table";  ///< tl2 | table | atomic | adaptive
     std::string table = "tagless";  ///< organization, table/adaptive backends
     std::uint64_t entries = 16;     ///< ownership-table slots (small ⇒ aliasing)
@@ -79,6 +79,22 @@ struct HarnessConfig {
     std::string policy;             ///< off | auto | cycle ("" = engine default)
     std::uint64_t epoch = 0;        ///< commits per epoch (0 = engine default)
     std::uint64_t max_entries = 0;  ///< resize growth cap (0 = engine default)
+};
+
+/// Parses the STM selection keys: backend, table, entries,
+/// commit_time_locks, clock, engine, policy, epoch, max_entries.
+[[nodiscard]] StmSelection stm_selection_from(const config::Config& cfg);
+
+/// The Config handed to stm::Stm::create for `sel` — includes the
+/// determinism pins (hash=shift-mask, contention=none, reclaim_shards=2).
+[[nodiscard]] config::Config stm_spec(const StmSelection& sel);
+
+/// `--key=value` flags reproducing `sel` on the sched_explorer command line.
+[[nodiscard]] std::string repro_flags(const StmSelection& sel);
+
+/// The generated-programs workload: shape + STM selection. Parsed from the
+/// same `--key=value` vocabulary as every other driver.
+struct HarnessConfig : StmSelection {
     // --- workload shape ---
     std::uint32_t threads = 3;         ///< virtual threads (≤ 36)
     std::uint32_t txs_per_thread = 3;  ///< transactions each runs, in order
@@ -110,22 +126,16 @@ struct HarnessConfig {
     std::uint64_t step_limit = 1u << 20;
 };
 
-/// Parses harness keys: backend, table, entries, commit_time_locks, clock,
-/// engine, policy, epoch, max_entries, threads, txs, ops, slots, wfrac,
-/// rofrac, mode (acc|incr|dyn), wseed, cache_blocks, step_limit.
+/// Parses harness keys: the StmSelection keys plus threads, txs, ops,
+/// slots, wfrac, rofrac, mode (acc|incr|dyn), wseed, cache_blocks,
+/// step_limit.
 [[nodiscard]] HarnessConfig harness_config_from(const config::Config& cfg);
 
-/// The Config handed to stm::Stm::create for this harness config —
-/// includes the determinism pins (hash=shift-mask, contention=none).
+/// stm_spec of the selection plus the harness's cache_blocks.
 [[nodiscard]] config::Config stm_spec(const HarnessConfig& cfg);
 
-/// `--key=value` flags reproducing `cfg` on the sched_explorer command
-/// line (everything except the schedule string).
+/// repro_flags of the selection plus the workload keys.
 [[nodiscard]] std::string repro_flags(const HarnessConfig& cfg);
-
-/// Full repro command for one explored run.
-[[nodiscard]] std::string repro_line(const HarnessConfig& cfg,
-                                     const std::string& schedule);
 
 /// One transactional access of a generated program.
 struct TxOp {
@@ -168,25 +178,12 @@ struct CommitRecord {
     std::vector<SlotValue> writes;
 };
 
-/// Outcome of one scheduled run.
-struct RunResult {
-    std::string schedule;  ///< recorded picks (replayable)
-    std::uint64_t steps = 0;
-    bool cancelled = false;  ///< step_limit exhausted; state is partial
+/// Outcome of one scheduled run: the shared Trace plus what the program
+/// oracles need.
+struct RunResult : Trace {
     std::uint64_t state_hash = 0;
     std::vector<std::uint64_t> final_state;  ///< slot values at quiescence
     std::vector<CommitRecord> commit_log;    ///< commit order
-    stm::StmStats stats;
-    /// The run's 64-bit behavior signature (sched/coverage.hpp): AFL-style
-    /// bucketed per-thread yield-event edges + quantized stats. A pure
-    /// function of the replayed execution on a fresh engine, so identical
-    /// runs carry identical signatures.
-    std::uint64_t signature = 0;
-    /// Bitmask of YieldSite values the run parked at (bit s set ⇔ some
-    /// granted step yielded from site s). Coarser than the signature, but
-    /// directly answers "did this campaign ever reach site X" — the
-    /// reachability assertion the decision-point sites exist for.
-    std::uint32_t sites_seen = 0;
     /// Lifetime-oracle verdict (dyn mode only): a use of a reclaimed block,
     /// a double reclamation, or an unbalanced allocation ledger at the end
     /// of the run. nullopt when clean (always nullopt outside dyn mode).
@@ -233,37 +230,6 @@ struct RunResult {
     const HarnessConfig& cfg,
     const std::vector<std::vector<TxProgram>>& programs, const RunResult& run);
 
-/// Kill-point oracle: replays `schedule` with the step budget cut to
-/// `kill_step` (the "crash"), then asserts the post-crash state is a
-/// prefix-consistent commit history. A schedule that finishes before the
-/// kill step is checked with the full serializability oracle instead.
-[[nodiscard]] std::optional<std::string> check_kill_point(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    const std::string& schedule, std::uint64_t kill_step);
-
-/// A failing schedule plus everything needed to reproduce it.
-struct Violation {
-    std::string message;   ///< oracle description + repro line
-    std::string schedule;  ///< recorded pick string
-    std::string repro;     ///< copy-pasteable sched_explorer command
-};
-
-/// Aggregate of an exploration batch.
-struct ExploreResult {
-    std::uint64_t runs = 0;
-    std::vector<Violation> violations;
-    stm::StmStats stats;  ///< merged over all runs
-};
-
-/// Explores `count` schedules built from `sched_cfg` (keys sched=, depth=,
-/// steps=) with per-run seeds derived from `base_seed`, oracle-checking
-/// every run.
-[[nodiscard]] ExploreResult explore(const HarnessConfig& cfg,
-                                    const config::Config& sched_cfg,
-                                    std::uint64_t count,
-                                    std::uint64_t base_seed);
-
 /// One backend×table combination of the differential sweep.
 struct BackendPair {
     std::string backend;
@@ -271,6 +237,8 @@ struct BackendPair {
     bool commit_time_locks = false;
 
     [[nodiscard]] std::string label() const;
+    /// Points `sel` at this pair (keeps sel.table when the pair has none).
+    void apply(StmSelection& sel) const;
 };
 
 /// Every built-in pair: tl2, table×{tagless,tagged}×{eager,lazy}, atomic.
@@ -288,11 +256,23 @@ struct BackendPair {
     const std::vector<BackendPair>& pairs, const config::Config& sched_cfg,
     std::uint64_t seed, std::vector<RunResult>* runs_out = nullptr);
 
-/// Greedily shrinks a failing schedule string (ddmin-style chunk removal)
-/// while check_serializable still reports a violation. Returns the input
-/// unchanged when it does not fail.
-[[nodiscard]] std::string minimize_schedule(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs, std::string schedule);
+/// The generated-programs subject: cfg's workload over a fresh engine per
+/// run, judged by check_serializable (check_prefix_consistent when the run
+/// was cancelled).
+class ProgramSubject final : public Subject {
+public:
+    explicit ProgramSubject(HarnessConfig cfg);
+
+    [[nodiscard]] std::uint32_t threads() const override {
+        return cfg_.threads;
+    }
+    [[nodiscard]] std::string repro_flags() const override;
+    [[nodiscard]] Outcome run(Schedule& schedule,
+                              std::uint64_t step_budget) const override;
+
+private:
+    HarnessConfig cfg_;
+    std::vector<std::vector<TxProgram>> programs_;
+};
 
 }  // namespace tmb::sched

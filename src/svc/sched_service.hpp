@@ -1,13 +1,12 @@
-// sched_service.hpp — the service harness under the deterministic
-// turnstile: kill-at-any-step runs with a conservation + prefix-consistency
-// oracle, and guided schedule fuzzing over service interleavings.
+// sched_service.hpp — the service as a sched::Subject: the same Service
+// object that serves real threads (svc/service.hpp) runs on virtual threads
+// under sched::drive_schedule, the one driver every subject shares.
 //
-// The same Service object that serves real threads (svc/service.hpp) runs
-// here on virtual threads: clients 0..C-1 and dispatchers C..C+D-1 advance
-// only when a sched::Schedule grants them a step, the clock is the step
-// counter itself (deadlines fire at exact steps — test-assertable), and
-// every committed batch is recorded for serial replay. Cancelling the run
-// at step K *is* killing the service at K; the oracle then checks
+// Clients 0..C-1 and dispatchers C..C+D-1 advance only when a
+// sched::Schedule grants them a step, the clock is the driver's step
+// counter itself (deadline_steps fire at exact steps — test-assertable), and
+// every committed batch is recorded for serial replay. Cancelling the run at
+// step K *is* killing the service at K; the service oracle then checks
 //
 //   * conservation — submitted == completed + rejected + timed-out +
 //     in-flight-at-kill, with in-flight bounded by ring capacity +
@@ -16,8 +15,9 @@
 //     reproduces every recorded read/write and the rolled-back final
 //     memory, i.e. a kill never tears a batch or loses a committed one.
 //
-// fuzz_service is the service-shaped twin of sched::fuzz_explore: same
-// Corpus, same mutators, same signature scheme, different subject.
+// ServiceSubject wraps run + oracle, so explore, the kill-point check,
+// minimization and the guided fuzzer (sched/subject.hpp, sched/corpus.hpp)
+// treat the service exactly like the generated-programs subject.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,9 @@
 #include <vector>
 
 #include "config/config.hpp"
-#include "sched/corpus.hpp"
+#include "sched/harness.hpp"
 #include "sched/schedule.hpp"
+#include "sched/subject.hpp"
 #include "svc/service.hpp"
 
 namespace tmb::svc {
@@ -37,19 +38,10 @@ namespace tmb::svc {
 /// slot counts matching real table sizes).
 inline constexpr std::uint32_t kSvcMaxSlots = 2048;
 
-/// One deterministic service subject: STM selection + service shape.
+/// One deterministic service shape: STM selection + service config.
 /// Arrival is always closed (virtual time has no Poisson process), and
 /// svc.deadline_us is measured in scheduler *steps*.
-struct SvcHarnessConfig {
-    std::string backend = "table";
-    std::string table = "tagless";
-    std::uint64_t entries = 16;
-    bool commit_time_locks = false;
-    std::string clock;
-    std::string engine;
-    std::string policy;
-    std::uint64_t epoch = 0;
-    std::uint64_t max_entries = 0;
+struct SvcHarnessConfig : sched::StmSelection {
     /// STM-internal attempts before TooMuchContention surfaces to the
     /// dispatcher's retry/backoff layer. Small by default so schedules can
     /// actually reach the service-level retry paths.
@@ -74,35 +66,20 @@ struct SvcHarnessConfig {
     }
 };
 
-/// Parses sched_explorer-style keys: the sched harness STM vocabulary
-/// (backend, table, entries, commit_time_locks, clock, engine, policy,
-/// epoch, max_entries) plus max_attempts, step_limit, and the service shape
-/// (clients, dispatchers, shards, queue_depth, batch, requests, ops, slots,
-/// rmw, wseed, deadline_steps, retry=none|backoff:<n>, svc_fault).
+/// Parses sched_explorer-style keys: the sched::StmSelection keys plus
+/// max_attempts, step_limit, and the service shape (clients, dispatchers,
+/// shards, queue_depth, batch, requests, ops, slots, rmw, wseed,
+/// deadline_steps, retry=none|backoff:<n>, svc_fault).
 [[nodiscard]] SvcHarnessConfig svc_harness_config_from(
     const config::Config& cfg);
 
-/// The Config handed to stm::Stm::create — the sched harness determinism
-/// pins (hash=shift-mask, contention=none, reclaim_shards=2) plus
-/// max_attempts.
-[[nodiscard]] config::Config svc_stm_spec(const SvcHarnessConfig& cfg);
-
-[[nodiscard]] std::string svc_harness_repro_flags(const SvcHarnessConfig& cfg);
-[[nodiscard]] std::string svc_harness_repro_line(const SvcHarnessConfig& cfg,
-                                                 const std::string& schedule);
-
-/// Outcome of one scheduled service run.
-struct ServiceRunResult {
-    std::string schedule;  ///< recorded picks (replayable)
-    std::uint64_t steps = 0;
-    bool cancelled = false;  ///< killed at step_limit
+/// Outcome of one scheduled service run: the shared sched::Trace
+/// (cancelled = killed at step_limit) plus what the service oracle needs.
+struct ServiceRunResult : sched::Trace {
     SvcCounters counters;
     std::vector<SvcCommit> commit_log;  ///< commit order
     std::vector<std::uint64_t> final_state;
     std::uint64_t state_hash = 0;
-    stm::StmStats stats;
-    std::uint64_t signature = 0;
-    std::uint32_t sites_seen = 0;  ///< YieldSite bitmask (harness.hpp)
     bool ledger_ok = false;
     std::string ledger_note;
 };
@@ -121,17 +98,21 @@ struct ServiceRunResult {
 [[nodiscard]] std::optional<std::string> check_service_consistent(
     const SvcHarnessConfig& cfg, const ServiceRunResult& run);
 
-/// Kill-point oracle: replays `schedule` with the step budget cut to
-/// `kill_step` and applies check_service_consistent to whatever survived.
-[[nodiscard]] std::optional<std::string> check_service_kill_point(
-    const SvcHarnessConfig& cfg, const std::string& schedule,
-    std::uint64_t kill_step);
+/// The service subject: a fresh engine + Service per run, judged by
+/// check_service_consistent (which handles killed runs itself).
+class ServiceSubject final : public sched::Subject {
+public:
+    explicit ServiceSubject(SvcHarnessConfig cfg) : cfg_(std::move(cfg)) {}
 
-/// Coverage-guided fuzzing over service schedules — sched::fuzz_explore's
-/// twin (same corpus format, mutators, signatures, kill cadence), with
-/// check_service_consistent as the oracle.
-[[nodiscard]] sched::FuzzResult fuzz_service(const SvcHarnessConfig& cfg,
-                                             const sched::FuzzOptions& opts,
-                                             sched::Corpus& corpus);
+    [[nodiscard]] std::uint32_t threads() const override {
+        return cfg_.threads();
+    }
+    [[nodiscard]] std::string repro_flags() const override;
+    [[nodiscard]] sched::Outcome run(sched::Schedule& schedule,
+                                     std::uint64_t step_budget) const override;
+
+private:
+    SvcHarnessConfig cfg_;
+};
 
 }  // namespace tmb::svc

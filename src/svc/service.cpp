@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -16,13 +17,26 @@ using stm::detail::scheduler_yield;
 using stm::detail::YieldPoint;
 using stm::detail::YieldSite;
 
-[[nodiscard]] std::uint64_t parse_u64(const std::string& s,
-                                      const std::string& what) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0') {
+/// A decimal count: digits only — no sign, blank or suffix — and at most
+/// `max` (strtoull would wrap "-1" and the caller's narrowing cast would
+/// truncate anything wider).
+[[nodiscard]] std::uint64_t parse_count(const std::string& s,
+                                        const std::string& what,
+                                        std::uint64_t max) {
+    std::uint64_t v = 0;
+    bool ok = !s.empty();
+    for (const char c : s) {
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' || v > (max - digit) / 10) {
+            ok = false;
+            break;
+        }
+        v = v * 10 + digit;
+    }
+    if (!ok) {
         throw std::invalid_argument("svc: bad number in " + what + ": '" + s +
-                                    "'");
+                                    "' (want a decimal count <= " +
+                                    std::to_string(max) + ")");
     }
     return v;
 }
@@ -46,16 +60,16 @@ SvcFault svc_fault_from(const std::string& spec) {
         const std::string arg =
             colon == std::string::npos ? "" : tok.substr(colon + 1);
         if (name == "stall_dispatcher") {
-            out.stall_dispatcher_ms =
-                static_cast<std::uint32_t>(parse_u64(arg, "stall_dispatcher"));
+            out.stall_dispatcher_ms = static_cast<std::uint32_t>(
+                parse_count(arg, "stall_dispatcher", UINT32_MAX));
         } else if (name == "drop_response") {
             out.drop_response = true;
         } else if (name == "slow_shard") {
-            out.slow_shard =
-                static_cast<std::int64_t>(parse_u64(arg, "slow_shard"));
+            out.slow_shard = static_cast<std::int64_t>(
+                parse_count(arg, "slow_shard", INT64_MAX));
         } else if (name == "abort_attempts") {
-            out.abort_attempts =
-                static_cast<std::uint32_t>(parse_u64(arg, "abort_attempts"));
+            out.abort_attempts = static_cast<std::uint32_t>(
+                parse_count(arg, "abort_attempts", UINT32_MAX));
         } else {
             throw std::invalid_argument(
                 "svc_fault: unknown fault '" + name +
@@ -85,6 +99,17 @@ std::string to_string(const SvcFault& fault) {
     return out.empty() ? "none" : out;
 }
 
+std::uint32_t retry_budget_from(const std::string& spec) {
+    if (spec == "none") return 0;
+    if (spec.rfind("backoff:", 0) != 0) {
+        throw std::invalid_argument(
+            "svc: retry must be 'none' or 'backoff:<budget>', got '" + spec +
+            "'");
+    }
+    return static_cast<std::uint32_t>(
+        parse_count(spec.substr(8), "retry=backoff", UINT32_MAX));
+}
+
 SvcConfig svc_config_from(const config::Config& cfg) {
     SvcConfig out;
     out.clients = cfg.get_u32("clients", out.clients);
@@ -109,17 +134,7 @@ SvcConfig svc_config_from(const config::Config& cfg) {
             "'");
     }
     out.deadline_us = cfg.get_u64("deadline_us", out.deadline_us);
-    const std::string retry = cfg.get("retry", "none");
-    if (retry == "none") {
-        out.retry_budget = 0;
-    } else if (retry.rfind("backoff:", 0) == 0) {
-        out.retry_budget = static_cast<std::uint32_t>(
-            parse_u64(retry.substr(8), "retry=backoff"));
-    } else {
-        throw std::invalid_argument(
-            "svc: retry must be 'none' or 'backoff:<budget>', got '" + retry +
-            "'");
-    }
+    out.retry_budget = retry_budget_from(cfg.get("retry", "none"));
     out.backoff_cap_us = cfg.get_u64("backoff_cap_us", out.backoff_cap_us);
     out.requests_per_client = cfg.get_u64("requests", out.requests_per_client);
     out.ops_per_request = cfg.get_u32("ops", out.ops_per_request);

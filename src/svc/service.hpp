@@ -96,6 +96,12 @@ struct SvcConfig {
 /// backoff_cap_us, requests, ops, slots, rmw, seed, svc_fault=<spec>.
 [[nodiscard]] SvcConfig svc_config_from(const config::Config& cfg);
 
+/// The one `retry=` parser (live service and scheduled harness alike):
+/// "none" → 0, "backoff:<n>" → n, where n is a decimal count without sign
+/// or suffix and at most UINT32_MAX. Anything else throws
+/// std::invalid_argument.
+[[nodiscard]] std::uint32_t retry_budget_from(const std::string& spec);
+
 /// `--key=value` flags reproducing `cfg` (repro lines, svc_load echo).
 [[nodiscard]] std::string svc_repro_flags(const SvcConfig& cfg);
 

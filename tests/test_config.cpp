@@ -66,6 +66,26 @@ TEST(Config, TypedGettersFallBackAndValidate) {
     EXPECT_THROW((void)cfg.get_bool("bad", false), std::invalid_argument);
 }
 
+TEST(Config, IntegerGettersRejectOverflowInsteadOfTruncating) {
+    const auto cfg = config::Config::from_string(
+        "max32=4294967295 over32=4294967297 big=18014398509481984k "
+        "bigm=17592186044416m huge=99999999999999999999 ok=16777216m");
+    EXPECT_EQ(cfg.get_u32("max32", 0), 4294967295u);
+    try {
+        (void)cfg.get_u32("over32", 0);
+        ADD_FAILURE() << "get_u32 truncated 4294967297";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("over32"), std::string::npos)
+            << "the diagnostic must name the key: " << e.what();
+    }
+    // k/m suffixes must not wrap: 2^54 KiB and 2^44 MiB are both 2^64.
+    EXPECT_THROW((void)cfg.get_u64("big", 0), std::invalid_argument);
+    EXPECT_THROW((void)cfg.get_u64("bigm", 0), std::invalid_argument);
+    EXPECT_THROW((void)cfg.get_u64("huge", 0), std::invalid_argument);
+    EXPECT_EQ(cfg.get_u64("ok", 0), std::uint64_t{1} << 44);
+    EXPECT_THROW((void)cfg.get_u32("ok", 0), std::invalid_argument);
+}
+
 TEST(Config, TracksUnusedKeysForTypoDiagnostics) {
     const auto cfg = config::Config::from_string("table=tagged tabel=oops");
     (void)cfg.get("table", "");

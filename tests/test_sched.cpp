@@ -191,7 +191,8 @@ TEST(SchedOracle, CatchesTableBackendThatIgnoresConflicts) {
     const FaultGuard fault(
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     ASSERT_FALSE(result.violations.empty())
         << "a backend that ignores conflicts must violate serializability";
     // Every failure carries a copy-pasteable repro line.
@@ -208,7 +209,8 @@ TEST(SchedOracle, CatchesAtomicBackendThatIgnoresConflicts) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     HarnessConfig cfg = contended_config();
     cfg.backend = "atomic";
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     EXPECT_FALSE(result.violations.empty());
 }
 
@@ -217,7 +219,8 @@ TEST(SchedOracle, CatchesTl2ThatSkipsCommitValidation) {
     HarnessConfig cfg = contended_config();
     cfg.backend = "tl2";
     cfg.write_fraction = 0.6;  // reads + writes: stale reads become visible
-    const auto result = explore(cfg, sched_spec("sched=random"), 200, 17);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 200, 17);
     EXPECT_FALSE(result.violations.empty())
         << "TL2 without read-set validation must commit stale reads";
 }
@@ -227,11 +230,12 @@ TEST(SchedOracle, FaultyScheduleMinimizesAndStillFails) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     ASSERT_FALSE(result.violations.empty());
 
     const std::string& original = result.violations.front().schedule;
-    const std::string shrunk = minimize_schedule(cfg, programs, original);
+    const std::string shrunk = minimize_schedule(ProgramSubject(cfg), original);
     EXPECT_LE(shrunk.size(), original.size());
 
     config::Config rc;
@@ -253,7 +257,8 @@ TEST(SchedOracle, CleanBackendsPassEverywhere) {
         cfg.entries = 4;
         cfg.slots = 8;
         cfg.write_fraction = 0.7;
-        const auto result = explore(cfg, sched_spec("sched=random"), 100, 3);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 100, 3);
         EXPECT_EQ(result.runs, 100u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -298,7 +303,8 @@ TEST(SchedDyn, CleanBackendsPassTheLifetimeOracle) {
             cfg.policy = "cycle";  // engine swaps mid-run drain reclamation
             cfg.epoch = 4;
         }
-        const auto result = explore(cfg, sched_spec("sched=random"), 80, 29);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 80, 29);
         EXPECT_EQ(result.runs, 80u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -346,7 +352,8 @@ TEST(SchedDyn, EagerReclamationIsCaughtAsLifetimeViolation) {
         cfg.backend = pair.backend;
         if (!pair.table.empty()) cfg.table = pair.table;
         cfg.commit_time_locks = pair.commit_time_locks;
-        const auto result = explore(cfg, sched_spec("sched=random"), 150, 41);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 41);
         for (const Violation& v : result.violations) {
             EXPECT_NE(v.repro.find("--mode=dyn"), std::string::npos);
             caught_lifetime |=
@@ -373,7 +380,8 @@ TEST(SchedDyn, CacheOffSweepPassesTheLifetimeOracle) {
         cfg.cache_blocks = 0;
         EXPECT_NE(repro_flags(cfg).find("--cache_blocks=0"),
                   std::string::npos);
-        const auto result = explore(cfg, sched_spec("sched=random"), 60, 31);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 31);
         EXPECT_EQ(result.runs, 60u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -390,7 +398,8 @@ TEST(SchedDyn, LeakyCacheIsCaughtAsLifetimeViolation) {
     const FaultGuard fault(stm::detail::test_faults().leaky_cache);
     HarnessConfig cfg = dyn_config();
     cfg.backend = "tl2";
-    const auto result = explore(cfg, sched_spec("sched=random"), 150, 47);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 47);
     bool caught_lifetime = false;
     for (const Violation& v : result.violations) {
         EXPECT_NE(v.repro.find("--mode=dyn"), std::string::npos);
@@ -407,11 +416,12 @@ TEST(SchedDyn, LeakyCacheScheduleMinimizesAndStillFails) {
     HarnessConfig cfg = dyn_config();
     cfg.backend = "tl2";
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, sched_spec("sched=random"), 150, 47);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 47);
     ASSERT_FALSE(result.violations.empty());
 
     const std::string& original = result.violations.front().schedule;
-    const std::string shrunk = minimize_schedule(cfg, programs, original);
+    const std::string shrunk = minimize_schedule(ProgramSubject(cfg), original);
     EXPECT_LE(shrunk.size(), original.size());
 
     config::Config rc;

@@ -65,7 +65,7 @@ std::uint64_t guided_distinct_signatures(const HarnessConfig& cfg,
     FuzzOptions opts;
     opts.budget = budget;
     opts.seed = seed;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     return corpus.distinct_signatures();
@@ -96,7 +96,7 @@ std::uint64_t guided_runs_to_violation(const HarnessConfig& cfg,
     opts.seed = seed;
     opts.init = 64;
     opts.stop_at_first = true;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     return result.violations.empty() ? cap + 1 : result.runs;
 }
 
@@ -376,7 +376,7 @@ TEST(Fuzz, SingleJobIsBitReproducible) {
     FuzzResult results[2];
     for (int i = 0; i < 2; ++i) {
         Corpus corpus;
-        results[i] = fuzz_explore(cfg, opts, corpus);
+        results[i] = fuzz_explore(ProgramSubject(cfg), opts, corpus);
         for (std::size_t e = 0; e < corpus.size(); ++e) {
             schedules[i].push_back(corpus.entry(e).schedule);
             signatures[i].push_back(corpus.entry(e).signature);
@@ -405,7 +405,7 @@ TEST(Fuzz, ReachesAdaptiveDecisionSites) {
     FuzzOptions opts;
     opts.budget = 120;
     opts.seed = 17;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     using stm::detail::YieldSite;
@@ -542,9 +542,9 @@ TEST(KillPoint, PrefixConsistentAtEveryStepOnCleanBackends) {
         const RunResult run = run_schedule(cfg, programs, *sch);
         ASSERT_FALSE(run.cancelled);
 
+        const ProgramSubject subject(cfg);
         for (std::uint64_t kill = 1; kill <= run.steps; ++kill) {
-            const auto error =
-                check_kill_point(cfg, programs, run.schedule, kill);
+            const auto error = check_kill_point(subject, run.schedule, kill);
             ASSERT_FALSE(error.has_value())
                 << pair.label() << " kill at step " << kill << ": " << *error;
         }
@@ -571,7 +571,7 @@ TEST(KillPoint, KilledRunsReportPartialPrefixes) {
         check_prefix_consistent(killed, programs, partial).has_value());
 
     EXPECT_FALSE(
-        check_kill_point(cfg, programs, full.schedule, full.steps + 100)
+        check_kill_point(ProgramSubject(cfg), full.schedule, full.steps + 100)
             .has_value());
 }
 
@@ -580,15 +580,17 @@ TEST(KillPoint, CatchesFaultyBackendAtSomeKillPoint) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, config::Config::from_string("sched=random"),
-                                60, 13);
+    const auto result = explore(
+        ProgramSubject(cfg), config::Config::from_string("sched=random"), 60,
+        13);
     ASSERT_FALSE(result.violations.empty());
     const std::string& schedule = result.violations.front().schedule;
 
     const RunResult run = replay_run(cfg, programs, schedule);
+    const ProgramSubject subject(cfg);
     bool caught = false;
     for (std::uint64_t kill = 1; kill <= run.steps && !caught; ++kill) {
-        caught = check_kill_point(cfg, programs, schedule, kill).has_value();
+        caught = check_kill_point(subject, schedule, kill).has_value();
     }
     EXPECT_TRUE(caught)
         << "a serializability violation must survive into some killed "

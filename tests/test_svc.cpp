@@ -5,6 +5,7 @@
 // service yield sites, and the real-thread production driver.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,29 @@ TEST(SvcConfig, KeysParse) {
     EXPECT_THROW((void)svc_config_from(
                      config::Config::from_string("retry=always")),
                  std::invalid_argument);
+
+    // One strict retry= parser for the live and the scheduled service: no
+    // sign, no trailing characters, nothing above UINT32_MAX.
+    EXPECT_EQ(svc_config_from(config::Config::from_string(
+                                  "retry=backoff:4294967295"))
+                  .retry_budget,
+              4294967295u);
+    EXPECT_EQ(svc_harness_config_from(
+                  config::Config::from_string("retry=backoff:3"))
+                  .svc.retry_budget,
+              3u);
+    for (const char* bad :
+         {"retry=backoff:-1", "retry=backoff:+3", "retry=backoff:4294967296",
+          "retry=backoff:4294967299", "retry=backoff:3x", "retry=backoff:",
+          "retry=backoff:99999999999999999999"}) {
+        EXPECT_THROW((void)svc_config_from(config::Config::from_string(bad)),
+                     std::invalid_argument)
+            << bad;
+        EXPECT_THROW(
+            (void)svc_harness_config_from(config::Config::from_string(bad)),
+            std::invalid_argument)
+            << bad;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -291,9 +315,10 @@ TEST(SvcSched, RequestConservationHoldsAtEveryKillStep) {
     const ServiceRunResult full = random_service(cfg, 23);
     ASSERT_FALSE(full.cancelled);
     ASSERT_GT(full.steps, 10u);
+    const ServiceSubject subject(cfg);
     for (std::uint64_t kill = 1; kill <= full.steps; ++kill) {
         const auto error =
-            check_service_kill_point(cfg, full.schedule, kill);
+            sched::check_kill_point(subject, full.schedule, kill);
         ASSERT_FALSE(error.has_value())
             << "kill at step " << kill << ": " << *error;
     }
@@ -330,7 +355,7 @@ TEST(SvcFuzz, ReachesEveryServiceYieldSiteAndStaysClean) {
     opts.init = 12;
     opts.shrink_probes = 4;  // leave budget for the mutation loop
     opts.kill_every = 8;
-    const auto result = fuzz_service(cfg, opts, corpus);
+    const auto result = sched::fuzz_explore(ServiceSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     EXPECT_GT(result.kill_checks, 0u);
@@ -353,7 +378,7 @@ TEST(SvcFuzz, SingleJobIsBitReproducible) {
     sched::FuzzResult results[2];
     for (int i = 0; i < 2; ++i) {
         sched::Corpus corpus;
-        results[i] = fuzz_service(cfg, opts, corpus);
+        results[i] = sched::fuzz_explore(ServiceSubject(cfg), opts, corpus);
         for (std::size_t e = 0; e < corpus.size(); ++e) {
             schedules[i].push_back(corpus.entry(e).schedule);
         }
@@ -363,6 +388,32 @@ TEST(SvcFuzz, SingleJobIsBitReproducible) {
               results[1].new_coverage_mutants);
     EXPECT_EQ(results[0].sites_seen, results[1].sites_seen);
     EXPECT_EQ(schedules[0], schedules[1]);
+}
+
+TEST(SvcFuzz, CatchesEngineThatIgnoresConflicts) {
+    // The service oracle must see engine faults. Two dispatchers are needed:
+    // with one, a single transaction is ever in flight and a broken engine
+    // cannot interleave anything.
+    struct FaultGuard {
+        FaultGuard() { flag().store(true, std::memory_order_relaxed); }
+        ~FaultGuard() { flag().store(false, std::memory_order_relaxed); }
+        static std::atomic<bool>& flag() {
+            return stm::detail::test_faults().ignore_acquire_conflicts;
+        }
+    } fault;
+    SvcHarnessConfig cfg;
+    cfg.backend = "table";
+    cfg.table = "tagless";
+    cfg.svc.dispatchers = 2;
+    cfg.svc.slots = 4;
+    sched::Corpus corpus;
+    sched::FuzzOptions opts;
+    opts.budget = 200;
+    opts.seed = 1;
+    const auto result = sched::fuzz_explore(ServiceSubject(cfg), opts, corpus);
+    EXPECT_GE(result.violations.size(), 1u)
+        << "a table engine that ignores acquire conflicts must break the "
+           "service's serial replay";
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //   sched_explorer --backend=table --table=tagless --schedules=5000
 //   sched_explorer --sched=pct --depth=3 --schedules=2000
 //
-// Replay: re-run one recorded schedule string and report its state hash —
+// Replay: re-run one recorded schedule string and report its signature —
 // the line a failing CI run prints is directly runnable:
 //
 //   sched_explorer --backend=tl2 --threads=3 ... --schedule=0120211
@@ -38,10 +38,12 @@
 // Kill-point replay: --schedule=<picks> --kill_step=S replays one schedule
 // cancelled at step S under the prefix-consistency oracle.
 //
-// Service mode: --svc=1 swaps the transaction-program workload for the live
-// service front-end (svc/sched_service.hpp) — clients, queues, dispatchers —
-// under the same turnstile. Explore / replay / fuzz / --kill_step all work;
-// the oracle becomes request conservation + commit-log serial replay:
+// Service subject: --svc=1 swaps the generated transaction programs for the
+// live service front-end (svc/sched_service.hpp) — clients, queues,
+// dispatchers — under the same driver. Every mode except --diff (which needs
+// commutative programs) takes the same code path, pair sweep, --jobs fork
+// and per-pair corpus directory; the oracle becomes request conservation +
+// commit-log serial replay:
 //
 //   sched_explorer --svc=1 --schedules=2000 --seed=7
 //   sched_explorer --svc=1 --fuzz --schedules=5000 --kill_every=32
@@ -54,7 +56,7 @@
 // still CATCH broken implementations (the run must exit 1 with repro
 // lines; a clean exit means the oracle went blind).
 //
-// Exit codes: 0 = all runs serializable; 1 = violations (repro lines on
+// Exit codes: 0 = every run passed its oracle; 1 = violations (repro lines on
 // stdout, also appended to --out=<file> when given — deduplicated, so
 // replayed batches do not pile up duplicate lines); 2 = config error.
 #include <sys/stat.h>
@@ -65,6 +67,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -73,28 +76,25 @@
 #include "sched/corpus.hpp"
 #include "sched/harness.hpp"
 #include "sched/schedule.hpp"
+#include "sched/subject.hpp"
 #include "stm/sched_hook.hpp"
 #include "svc/sched_service.hpp"
-#include "util/hash.hpp"
 
 namespace {
 
 using tmb::sched::BackendPair;
 using tmb::sched::HarnessConfig;
+using tmb::sched::Subject;
 
-/// The pairs to sweep: the explicit --backend/--table selection when given,
-/// every built-in pair otherwise.
+/// The pairs to sweep: the command line's own selection when it names a
+/// backend or table, every built-in pair otherwise.
 std::vector<BackendPair> selected_pairs(const tmb::config::Config& cli) {
     if (!cli.has("backend") && !cli.has("table")) {
         return tmb::sched::default_backend_pairs();
     }
-    BackendPair pair;
-    pair.backend = cli.get("backend", "table");
-    if (pair.backend == "table" || pair.backend == "adaptive") {
-        pair.table = cli.get("table", "tagless");
-    }
-    pair.commit_time_locks = cli.get_bool("commit_time_locks", false);
-    return {pair};
+    const auto sel = tmb::sched::stm_selection_from(cli);
+    const bool tabled = sel.backend == "table" || sel.backend == "adaptive";
+    return {{sel.backend, tabled ? sel.table : "", sel.commit_time_locks}};
 }
 
 /// Appends repro lines to --out=<file>, deduplicated by the full line:
@@ -131,105 +131,11 @@ void report(std::ostream& os, const std::vector<tmb::sched::Violation>& found,
     }
 }
 
-/// --svc=1: the same explore / replay / fuzz / kill-point modes over the
-/// service front-end instead of generated transaction programs.
-int svc_explorer_main(const tmb::config::Config& cli,
-                      const tmb::config::Config& sched_cfg,
-                      const tmb::sched::FuzzOptions& fopts,
-                      std::uint64_t schedules, std::uint64_t seed,
-                      const std::string& replay, std::uint64_t kill_step,
-                      bool fuzz, const std::string& corpus_path,
-                      ReproSink& sink) {
-    using tmb::svc::SvcHarnessConfig;
-    const SvcHarnessConfig cfg = tmb::svc::svc_harness_config_from(cli);
-    tmb::config::reject_unknown(cli);
-
-    // --- replay (and kill-point replay) ------------------------------------
-    if (!replay.empty()) {
-        if (kill_step != 0) {
-            const auto error =
-                tmb::svc::check_service_kill_point(cfg, replay, kill_step);
-            if (!error) {
-                std::cout << "service kill-point oracle (step " << kill_step
-                          << "): consistent\n";
-                return 0;
-            }
-            tmb::sched::Violation v;
-            v.schedule = replay;
-            v.repro = tmb::svc::svc_harness_repro_line(cfg, replay) +
-                      " --kill_step=" + std::to_string(kill_step);
-            v.message = "kill-point (step " + std::to_string(kill_step) +
-                        "): " + *error + "\n  repro: " + v.repro;
-            report(std::cout, {v}, sink);
-            return 1;
-        }
-        tmb::config::Config rc;
-        rc.set("sched", "replay");
-        rc.set("schedule", replay);
-        const auto schedule = tmb::sched::make_schedule(rc, seed);
-        const auto run = tmb::svc::run_service_schedule(cfg, *schedule);
-        std::cout << "replayed " << run.steps << " steps: "
-                  << run.counters.submitted << " submitted, "
-                  << run.counters.completed << " completed, "
-                  << run.counters.rejected_queue << "+"
-                  << run.counters.rejected_retry << " rejected, "
-                  << run.counters.timed_out << " timed out, "
-                  << run.counters.retries << " retries, "
-                  << run.commit_log.size() << " commits, state hash 0x"
-                  << std::hex << run.state_hash << std::dec << '\n';
-        const auto error = tmb::svc::check_service_consistent(cfg, run);
-        if (!error) {
-            std::cout << "service oracle: consistent\n";
-            return 0;
-        }
-        tmb::sched::Violation v;
-        v.schedule = run.schedule;
-        v.repro = tmb::svc::svc_harness_repro_line(cfg, run.schedule);
-        v.message = *error + "\n  repro: " + v.repro;
-        report(std::cout, {v}, sink);
-        return 1;
-    }
-
-    // --- fuzz ---------------------------------------------------------------
-    if (fuzz) {
-        if (!corpus_path.empty()) ::mkdir(corpus_path.c_str(), 0755);
-        tmb::sched::Corpus corpus(corpus_path);
-        if (!corpus.dir().empty()) (void)corpus.sync();  // warm start
-        const auto result = tmb::svc::fuzz_service(cfg, fopts, corpus);
-        std::cout << "svc fuzz: " << result.runs << " runs, "
-                  << corpus.distinct_signatures() << " signatures, "
-                  << corpus.size() << " corpus entries, "
-                  << result.new_coverage_mutants << " coverage mutants, "
-                  << result.kill_checks << " kill checks, sites 0x"
-                  << std::hex << result.sites_seen << std::dec << ", "
-                  << result.violations.size() << " violations\n";
-        report(std::cout, result.violations, sink);
-        return result.violations.empty() ? 0 : 1;
-    }
-
-    // --- explore ------------------------------------------------------------
-    std::size_t violations = 0;
-    tmb::svc::SvcCounters totals;
-    for (std::uint64_t n = 0; n < schedules; ++n) {
-        const auto schedule = tmb::sched::make_schedule(
-            sched_cfg, tmb::util::mix64(seed ^ (n + 1)));
-        const auto run = tmb::svc::run_service_schedule(cfg, *schedule);
-        totals.merge(run.counters);
-        if (const auto error = tmb::svc::check_service_consistent(cfg, run)) {
-            ++violations;
-            tmb::sched::Violation v;
-            v.schedule = run.schedule;
-            v.repro = tmb::svc::svc_harness_repro_line(cfg, run.schedule);
-            v.message = *error + "\n  repro: " + v.repro;
-            report(std::cout, {v}, sink);
-        }
-    }
-    std::cout << "svc explore: " << schedules << " schedules, "
-              << totals.completed << " completed, " << totals.rejected_queue
-              << "+" << totals.rejected_retry << " rejected, "
-              << totals.timed_out << " timed out, " << totals.retries
-              << " retries, " << violations << " violations\n";
-    return violations ? 1 : 0;
+void print_minimized(const Subject& subject, const std::string& schedule) {
+    const auto shrunk = tmb::sched::minimize_schedule(subject, schedule);
+    std::cout << "  minimized " << schedule.size() << " -> " << shrunk.size()
+              << " picks\n  repro: "
+              << tmb::sched::repro_line(subject.repro_flags(), shrunk) << '\n';
 }
 
 int explorer_main(int argc, char** argv) {
@@ -280,160 +186,86 @@ int explorer_main(int argc, char** argv) {
         }
     }
 
-    // Service mode: same knobs, different subject and oracle.
-    if (cli.get_bool("svc", false)) {
-        ReproSink svc_sink(out_path);
-        return svc_explorer_main(cli, sched_cfg, fopts, schedules, seed,
-                                 replay, kill_step, fuzz, corpus_path,
-                                 svc_sink);
+    // The subject: generated transaction programs, or (--svc=1) the
+    // service front-end. subject_for(pair) builds it on one backend pair;
+    // nullptr keeps the command line's own selection.
+    const bool svc = cli.get_bool("svc", false);
+    if (svc && diff) {
+        throw std::invalid_argument(
+            "--diff needs commutative transaction programs; it has no "
+            "--svc=1 form");
     }
-
-    // Workload / STM keys. Differential mode needs commutative writes.
-    HarnessConfig base = tmb::sched::harness_config_from(cli);
-    if (diff && !cli.has("mode")) base.commutative = true;
+    if (jobs > 1 && !fuzz) {
+        throw std::invalid_argument("--jobs forks fuzz workers; add --fuzz");
+    }
+    HarnessConfig base;
+    tmb::svc::SvcHarnessConfig svc_base;
+    if (svc) {
+        svc_base = tmb::svc::svc_harness_config_from(cli);
+    } else {
+        base = tmb::sched::harness_config_from(cli);
+        // Differential mode needs commutative writes.
+        if (diff && !cli.has("mode")) base.commutative = true;
+    }
+    const std::vector<BackendPair> pairs = selected_pairs(cli);
     tmb::config::reject_unknown(cli);
+    const auto subject_for =
+        [&](const BackendPair* pair) -> std::unique_ptr<Subject> {
+        if (svc) {
+            tmb::svc::SvcHarnessConfig cfg = svc_base;
+            if (pair) pair->apply(cfg);
+            return std::make_unique<tmb::svc::ServiceSubject>(std::move(cfg));
+        }
+        HarnessConfig cfg = base;
+        if (pair) pair->apply(cfg);
+        return std::make_unique<tmb::sched::ProgramSubject>(std::move(cfg));
+    };
 
     ReproSink sink(out_path);
 
     // --- replay mode ------------------------------------------------------
     if (!replay.empty()) {
-        const auto programs = tmb::sched::generate_programs(base);
+        const auto subject = subject_for(nullptr);
 
-        // Kill-point replay: cancel at --kill_step and demand a
-        // prefix-consistent commit history.
+        // Kill-point replay: cancel at --kill_step and demand a consistent
+        // prefix.
         if (kill_step != 0) {
-            const auto error = tmb::sched::check_kill_point(
-                base, programs, replay, kill_step);
+            const auto error =
+                tmb::sched::check_kill_point(*subject, replay, kill_step);
             if (!error) {
                 std::cout << "kill-point oracle (step " << kill_step
-                          << "): prefix-consistent\n";
+                          << "): consistent\n";
                 return 0;
             }
-            tmb::sched::Violation v;
-            v.schedule = replay;
-            v.repro = tmb::sched::repro_line(base, replay) +
-                      " --kill_step=" + std::to_string(kill_step);
-            v.message = "kill-point (step " + std::to_string(kill_step) +
-                        "): " + *error + "\n  repro: " + v.repro;
-            report(std::cout, {v}, sink);
+            report(std::cout,
+                   {tmb::sched::violation(*subject, replay, *error, kill_step)},
+                   sink);
             return 1;
         }
 
-        tmb::config::Config rc;
-        rc.set("sched", "replay");
-        rc.set("schedule", replay);
-        const auto schedule = tmb::sched::make_schedule(rc, seed);
-        const auto run = tmb::sched::run_schedule(base, programs, *schedule);
-        std::cout << "replayed " << run.steps << " steps, "
-                  << run.commit_log.size() << " commits, "
-                  << run.stats.policy_switches << " policy switches, "
-                  << run.stats.clock_cas_failures
-                  << " clock CAS failures, state hash 0x" << std::hex
-                  << run.state_hash << std::dec << '\n';
-        const auto error = tmb::sched::check_serializable(base, programs, run);
+        const auto run = tmb::sched::replay_schedule(*subject, replay);
+        const tmb::sched::Trace& trace = run.trace;
+        std::cout << "replayed " << trace.steps << " steps, "
+                  << trace.stats.commits << " commits, "
+                  << trace.stats.aborts << " aborts, "
+                  << trace.stats.policy_switches << " policy switches, "
+                  << trace.stats.clock_cas_failures
+                  << " clock CAS failures, signature 0x" << std::hex
+                  << trace.signature << std::dec << '\n';
+        const auto error = tmb::sched::complete_verdict(run);
         if (!error) {
-            std::cout << "oracle: serializable\n";
+            std::cout << "oracle: consistent\n";
             return 0;
         }
-        tmb::sched::Violation v;
-        v.schedule = run.schedule;
-        v.repro = tmb::sched::repro_line(base, run.schedule);
-        v.message = *error + "\n  repro: " + v.repro;
-        report(std::cout, {v}, sink);
-        if (minimize) {
-            const auto shrunk =
-                tmb::sched::minimize_schedule(base, programs, replay);
-            std::cout << "minimized " << replay.size() << " -> "
-                      << shrunk.size() << " picks\n  repro: "
-                      << tmb::sched::repro_line(base, shrunk) << '\n';
-        }
+        report(std::cout,
+               {tmb::sched::violation(*subject, trace.schedule, *error)}, sink);
+        if (minimize) print_minimized(*subject, replay);
         return 1;
-    }
-
-    const std::vector<BackendPair> pairs = selected_pairs(cli);
-    std::size_t total_violations = 0;
-
-    // --- fuzz mode --------------------------------------------------------
-    if (fuzz) {
-        if (!corpus_path.empty()) ::mkdir(corpus_path.c_str(), 0755);
-        // One corpus subdirectory per backend pair: signatures are only
-        // comparable within one engine shape.
-        const auto pair_dir = [&](const BackendPair& pair) {
-            if (corpus_path.empty()) return std::string();
-            std::string label = pair.label();
-            for (char& c : label) {
-                if (c == '/') c = '-';
-            }
-            return corpus_path + "/" + label;
-        };
-
-        int exit_code = 0;
-        for (const BackendPair& pair : pairs) {
-            HarnessConfig cfg = base;
-            cfg.backend = pair.backend;
-            if (!pair.table.empty()) cfg.table = pair.table;
-            cfg.commit_time_locks = pair.commit_time_locks;
-
-            const auto run_worker = [&](std::uint64_t worker) {
-                tmb::sched::FuzzOptions wopts = fopts;
-                wopts.seed = fopts.seed + worker * 0x9e3779b97f4a7c15ULL;
-                tmb::sched::Corpus corpus(pair_dir(pair));
-                if (!corpus.dir().empty()) (void)corpus.sync();  // warm start
-                const auto result =
-                    tmb::sched::fuzz_explore(cfg, wopts, corpus);
-                std::cout << pair.label()
-                          << (jobs > 1
-                                  ? " [worker " + std::to_string(worker) + "]"
-                                  : "")
-                          << ": fuzz " << result.runs << " runs, "
-                          << corpus.distinct_signatures() << " signatures, "
-                          << corpus.size() << " corpus entries, "
-                          << result.new_coverage_mutants
-                          << " coverage mutants, " << result.kill_checks
-                          << " kill checks, " << result.violations.size()
-                          << " violations\n";
-                report(std::cout, result.violations, sink);
-                return result.violations.empty() ? 0 : 1;
-            };
-
-            if (jobs <= 1) {
-                if (run_worker(0) != 0) exit_code = 1;
-                continue;
-            }
-            // Forked workers share the pair's corpus directory; each runs
-            // the full budget from its own seed stream. Fork happens before
-            // any harness threads exist in the child.
-            std::vector<pid_t> kids;
-            for (std::uint64_t w = 0; w < jobs; ++w) {
-                const pid_t pid = ::fork();
-                if (pid == 0) {
-                    const int rc = run_worker(w);
-                    std::cout.flush();
-                    std::_Exit(rc);
-                }
-                if (pid > 0) {
-                    kids.push_back(pid);
-                } else {
-                    std::cerr << "sched_explorer: fork failed\n";
-                    exit_code = 1;
-                }
-            }
-            for (const pid_t pid : kids) {
-                int status = 0;
-                if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-                    WEXITSTATUS(status) != 0) {
-                    exit_code = 1;
-                }
-            }
-        }
-        std::cout << (exit_code == 0
-                          ? "sched_explorer: fuzz clean\n"
-                          : "sched_explorer: fuzz VIOLATIONS above\n");
-        return exit_code;
     }
 
     // --- differential mode ------------------------------------------------
     if (diff) {
+        std::size_t total_violations = 0;
         const auto programs = tmb::sched::generate_programs(base);
         for (std::uint64_t n = 0; n < schedules; ++n) {
             const std::uint64_t round_seed = seed + n;
@@ -452,40 +284,96 @@ int explorer_main(int argc, char** argv) {
         return total_violations ? 1 : 0;
     }
 
-    // --- explore mode -----------------------------------------------------
-    for (const BackendPair& pair : pairs) {
-        HarnessConfig cfg = base;
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+    // --- explore / fuzz: one subject per backend pair ---------------------
+    if (fuzz && !corpus_path.empty()) ::mkdir(corpus_path.c_str(), 0755);
+    // One corpus subdirectory per backend pair: signatures are only
+    // comparable within one engine shape.
+    const auto pair_dir = [&](const BackendPair& pair) {
+        if (corpus_path.empty()) return std::string();
+        std::string label = pair.label();
+        for (char& c : label) {
+            if (c == '/') c = '-';
+        }
+        return corpus_path + "/" + label;
+    };
 
-        const auto result =
-            tmb::sched::explore(cfg, sched_cfg, schedules, seed);
-        total_violations += result.violations.size();
-        std::cout << pair.label() << ": " << result.runs << " schedules, "
-                  << result.stats.commits << " commits, "
-                  << result.stats.aborts << " aborts, "
-                  << result.stats.false_conflicts << " false conflicts, "
-                  << result.stats.policy_switches << " policy switches, "
-                  << result.stats.clock_cas_failures
-                  << " clock CAS failures, " << result.violations.size()
-                  << " violations\n";
-        report(std::cout, result.violations, sink);
-        if (minimize) {
-            const auto programs = tmb::sched::generate_programs(cfg);
+    int exit_code = 0;
+    for (const BackendPair& pair : pairs) {
+        const auto subject = subject_for(&pair);
+        if (!fuzz) {
+            const auto result =
+                tmb::sched::explore(*subject, sched_cfg, schedules, seed);
+            if (!result.violations.empty()) exit_code = 1;
+            std::cout << pair.label() << ": " << result.runs << " schedules, "
+                      << result.stats.commits << " commits, "
+                      << result.stats.aborts << " aborts, "
+                      << result.stats.false_conflicts << " false conflicts, "
+                      << result.stats.policy_switches << " policy switches, "
+                      << result.stats.clock_cas_failures
+                      << " clock CAS failures, " << result.violations.size()
+                      << " violations\n";
+            report(std::cout, result.violations, sink);
             for (const auto& v : result.violations) {
-                const auto shrunk = tmb::sched::minimize_schedule(
-                    cfg, programs, v.schedule);
-                std::cout << "  minimized " << v.schedule.size() << " -> "
-                          << shrunk.size() << " picks\n  repro: "
-                          << tmb::sched::repro_line(cfg, shrunk) << '\n';
+                if (minimize) print_minimized(*subject, v.schedule);
+            }
+            continue;
+        }
+
+        const auto run_worker = [&](std::uint64_t worker) {
+            tmb::sched::FuzzOptions wopts = fopts;
+            wopts.seed = fopts.seed + worker * 0x9e3779b97f4a7c15ULL;
+            tmb::sched::Corpus corpus(pair_dir(pair));
+            if (!corpus.dir().empty()) (void)corpus.sync();  // warm start
+            const auto result =
+                tmb::sched::fuzz_explore(*subject, wopts, corpus);
+            std::cout << pair.label()
+                      << (jobs > 1
+                              ? " [worker " + std::to_string(worker) + "]"
+                              : "")
+                      << ": fuzz " << result.runs << " runs, "
+                      << corpus.distinct_signatures() << " signatures, "
+                      << corpus.size() << " corpus entries, "
+                      << result.new_coverage_mutants
+                      << " coverage mutants, " << result.kill_checks
+                      << " kill checks, sites 0x" << std::hex
+                      << result.sites_seen << std::dec << ", "
+                      << result.violations.size() << " violations\n";
+            report(std::cout, result.violations, sink);
+            return result.violations.empty() ? 0 : 1;
+        };
+        if (jobs <= 1) {
+            if (run_worker(0) != 0) exit_code = 1;
+            continue;
+        }
+        // Forked workers share the pair's corpus directory; each runs
+        // the full budget from its own seed stream. Fork happens before
+        // any harness threads exist in the child.
+        std::vector<pid_t> kids;
+        for (std::uint64_t w = 0; w < jobs; ++w) {
+            const pid_t pid = ::fork();
+            if (pid == 0) {
+                const int rc = run_worker(w);
+                std::cout.flush();
+                std::_Exit(rc);
+            }
+            if (pid > 0) {
+                kids.push_back(pid);
+            } else {
+                std::cerr << "sched_explorer: fork failed\n";
+                exit_code = 1;
+            }
+        }
+        for (const pid_t pid : kids) {
+            int status = 0;
+            if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
+                WEXITSTATUS(status) != 0) {
+                exit_code = 1;
             }
         }
     }
-    std::cout << (total_violations == 0
-                      ? "sched_explorer: all schedules serializable\n"
-                      : "sched_explorer: VIOLATIONS above\n");
-    return total_violations ? 1 : 0;
+    std::cout << (exit_code == 0 ? "sched_explorer: clean\n"
+                                 : "sched_explorer: VIOLATIONS above\n");
+    return exit_code;
 }
 
 }  // namespace
