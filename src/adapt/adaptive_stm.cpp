@@ -75,11 +75,13 @@ struct EngineEpoch {
 };
 
 /// Context wrapper: the inner context plus the epoch it is bound to. The
-/// inner context is attached to its engine exactly while this one is
-/// checked out. Only a checked-out context holds its epoch (epoch_); an
-/// idle pooled one merely observes it (bound_), so it never keeps a
-/// swapped-out engine and its table alive. A detached inner context
-/// depends on nothing of its engine and may outlive it.
+/// inner context is attached to its engine, and holds its TxId, exactly
+/// while this one is checked out: detach releases it too, so an idle
+/// wrapper keeps no TxId and the runtime's release() has nothing to do.
+/// Only a checked-out context holds its epoch (epoch_); an idle pooled one
+/// merely observes it (bound_), so it never keeps a swapped-out engine and
+/// its table alive. A released inner context depends on nothing of its
+/// engine and may outlive it.
 class AdaptCx final : public TxContext {
 public:
     void flush_stats() noexcept override {
@@ -127,17 +129,20 @@ public:
 
     /// Takes the epoch back from a pooled context's weak reference; an
     /// inner context of the live epoch is re-attached, one of a swapped-out
-    /// epoch is dropped here (begin rebinds).
-    void attach(TxContext& cx_base) noexcept override {
+    /// epoch is dropped here (begin rebinds). False, with the epoch let go
+    /// again, when the engine has no TxId free.
+    bool attach(TxContext& cx_base) noexcept override {
         auto& cx = static_cast<AdaptCx&>(cx_base);
-        if (!cx.inner_) return;
+        if (!cx.inner_) return true;
         cx.epoch_ = cx.bound_.lock();
         if (cx.epoch_ &&
             cx.epoch_seq_ == published_seq_.load(std::memory_order_acquire)) {
-            cx.epoch_->engine->attach(*cx.inner_);
-        } else {
-            cx.drop_inner();
+            if (cx.epoch_->engine->attach(*cx.inner_)) return true;
+            cx.epoch_.reset();
+            return false;
         }
+        cx.drop_inner();
+        return true;
     }
 
     /// Releases the inner context's TxId and lets go of its epoch; an
@@ -146,11 +151,19 @@ public:
         auto& cx = static_cast<AdaptCx&>(cx_base);
         if (!cx.inner_) return;
         cx.epoch_->engine->detach(*cx.inner_);
+        cx.epoch_->engine->release(*cx.inner_);
         if (cx.epoch_seq_ != published_seq_.load(std::memory_order_acquire)) {
             cx.drop_inner();
         } else {
             cx.epoch_.reset();
         }
+    }
+
+    std::optional<ownership::TxId> tx_id(
+        const TxContext& cx_base) const noexcept override {
+        const auto& cx = static_cast<const AdaptCx&>(cx_base);
+        if (!cx.inner_ || !cx.epoch_) return std::nullopt;
+        return cx.epoch_->engine->tx_id(*cx.inner_);
     }
 
     void begin(TxContext& cx_base) override {
@@ -331,10 +344,11 @@ private:
             // the releasing side needs.
             if (cx.inner_) {
                 cx.epoch_->engine->detach(*cx.inner_);
+                cx.epoch_->engine->release(*cx.inner_);
                 cx.drop_inner();
             }
             auto inner = ep->engine->make_context();
-            ep->engine->attach(*inner);
+            while (!ep->engine->attach(*inner)) std::this_thread::yield();
             cx.inner_ = std::move(inner);
             cx.bound_ = ep;
             cx.epoch_seq_ = ep->seq;

@@ -34,8 +34,9 @@ void check_tx(TxId tx) {
 }
 
 /// Counter shard t has one writer, the holder of TxId t, so a plain
-/// load/store pair replaces a locked fetch_add. The SlotPool's release and
-/// acquire order one holder's last bump before the next holder's first.
+/// load/store pair replaces a locked fetch_add. Whatever hands the TxId on
+/// (the SlotPool, or the context pool slot of a context that kept it)
+/// orders one holder's last bump before the next holder's first.
 void bump(std::atomic<std::uint64_t>& counter) noexcept {
     counter.store(counter.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);

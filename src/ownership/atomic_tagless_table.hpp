@@ -21,9 +21,12 @@
 // call acquire_read/acquire_write/release with t (a release by a TxId that
 // does not hold the entry is tolerated: it changes nothing, counts
 // nothing). So shard t has a single writer, which bumps it with a relaxed
-// load and store; whatever hands TxIds between threads (the STM's
-// SlotPool) must order one holder's last call before the next holder's
-// first, as a release/acquire pair does.
+// load and store; whatever hands TxIds between threads must order one
+// holder's last call before the next holder's first, as a release/acquire
+// pair does. In the STM a TxId, and with it its counter shard, moves
+// between threads two ways: through the SlotPool's release and acquire,
+// and, kept by an idle pooled context, through the context pool slot's
+// release store and acquire CAS.
 #pragma once
 
 #include <array>

@@ -163,16 +163,23 @@ FuzzResult fuzz_explore(const Subject& subject, const FuzzOptions& opts,
     // new signature, first ddmin-shrinking it to the shortest string that
     // still reproduces the signature. Shrink probes are full oracle-checked
     // runs and count against the budget; signatures they stumble into are
-    // observed (they count as reached) but not retained.
+    // observed (they count as reached) but not retained. All probes
+    // together take at most half the budget, so a short campaign still
+    // mutates and kill-checks; past that, entries are retained unshrunk.
+    const std::uint64_t shrink_budget = opts.budget / 2;
+    std::uint64_t shrink_spent = 0;
     const auto retain = [&](const Trace& run) {
         std::string kept = run.schedule;
-        if (opts.shrink && kept.size() > 1 && out.runs < opts.budget) {
-            const std::uint64_t cap =
-                std::min(opts.shrink_probes, opts.budget - out.runs);
+        if (opts.shrink && kept.size() > 1 && shrink_spent < shrink_budget &&
+            out.runs < opts.budget) {
+            std::uint64_t cap = std::min(shrink_budget - shrink_spent,
+                                         opts.budget - out.runs);
+            if (opts.shrink_probes != 0) cap = std::min(cap, opts.shrink_probes);
             const auto same_signature = [&](const std::string& cand) {
                 const Outcome probe =
                     replay_schedule(subject, cand, step_budget);
                 record(probe);
+                ++shrink_spent;
                 (void)corpus.observe(probe.trace.signature);
                 return probe.trace.signature == run.signature;
             };

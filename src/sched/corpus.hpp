@@ -96,6 +96,8 @@ struct FuzzOptions {
     std::uint64_t sync_every = 512;  ///< runs between corpus-dir syncs
     bool shrink = true;              ///< ddmin-shrink retained entries
     std::uint64_t shrink_probes = 24;  ///< probe cap per retained entry
+                                       ///  (0 = none); all probes together
+                                       ///  take at most budget / 2 runs
     std::uint64_t kill_every = 0;  ///< every N runs, one kill-point check
                                    ///  at a random step (0 = off)
     /// Step cap per fuzz run (0 = the subject's step_limit). Mutants can land

@@ -10,9 +10,12 @@
 // Locked instructions: on the access path (load, store, commit, abort) the
 // table's entry CAS is the only one. The table's counter shard for a TxId
 // and the slot's footprint log both have one writer, the context holding
-// that TxId, so they are written with plain atomic stores; the SlotPool's
-// release/acquire pair hands both to the next holder. Only a footprint
-// that overflows its inline log takes a mutex.
+// that TxId, so they are written with plain atomic stores. A TxId passes
+// to its next holder through the SlotPool's release/acquire pair, or, kept
+// by an idle context, through the context pool slot's release store and
+// acquire CAS (context_pool.hpp); both order the last holder's writes
+// before the next one's. Only a footprint that overflows its inline log
+// takes a mutex.
 //
 // Conflict classification (true vs false) is best-effort here: the
 // conflicting transaction's footprint is read while its holder runs, so it
@@ -50,8 +53,8 @@ struct UndoEntry {
 
 class AtomicContext final : public TxContext {
 public:
-    /// Held only while attached (kMaxAtomicTx when idle).
-    TxId slot_ = ownership::kMaxAtomicTx;
+    /// Kept from attach until release (SlotPool::kNone before).
+    TxId slot_ = SlotPool::kNone;
     /// Allocation-free tx-local structures (stm/txlocal.hpp): the mode
     /// cache clears in O(1) per attempt and the undo log keeps capacity, so
     /// a steady-state transaction never touches the heap.
@@ -122,15 +125,17 @@ public:
         return std::make_unique<AtomicContext>();
     }
 
-    void attach(TxContext& cx) noexcept override {
-        static_cast<AtomicContext&>(cx).slot_ = slots_.acquire();
+    bool attach(TxContext& cx) noexcept override {
+        return slots_.keep(static_cast<AtomicContext&>(cx).slot_);
     }
 
     /// The slot's footprint is already empty: commit and abort clear it.
-    void detach(TxContext& cx_base) noexcept override {
-        auto& cx = static_cast<AtomicContext&>(cx_base);
-        slots_.release(cx.slot_);
-        cx.slot_ = ownership::kMaxAtomicTx;
+    void release(TxContext& cx) noexcept override {
+        slots_.give_back(static_cast<AtomicContext&>(cx).slot_);
+    }
+
+    std::optional<TxId> tx_id(const TxContext& cx) const noexcept override {
+        return SlotPool::held(static_cast<const AtomicContext&>(cx).slot_);
     }
 
     std::uint32_t max_live_contexts() const noexcept override {

@@ -7,10 +7,14 @@
 //
 // Context lifecycle: make_context() builds a context once; the runtime then
 // checks it out (attach) for an Executor's lifetime or one atomically()
-// call, and returns it (detach) to a pool of idle contexts. Every backend's
-// contexts pool the same way: a TxId (ownership-table slot) is held only
-// between attach and detach, so an idle pooled context never starves
-// Executors of slots.
+// call, and returns it (detach) to a pool of idle contexts. A table or
+// atomic backend's context keeps its TxId (ownership-table slot) through
+// detach, so a thread that keeps calling atomically() on its pooled
+// context touches the shared slot pool only once. The runtime takes kept
+// TxIds back (release) from idle contexts when an attach finds none free,
+// before it builds an Executor, and before it destroys a context the pool
+// has no room for; so idle contexts never starve a checkout of slots, and
+// Executors built in sequence bind TxIds 0..n-1.
 //
 // Protocol per attempt (context attached):
 //   begin(cx) → { load/store }* → commit(cx) → true
@@ -24,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "stm/instrumentation.hpp"
@@ -99,17 +104,34 @@ public:
     /// therefore hold no TxId or other per-checkout resource when built.
     [[nodiscard]] virtual std::unique_ptr<TxContext> make_context() = 0;
 
-    /// Checks `cx` out: takes whatever the context needs while in use — a
-    /// table backend's TxId — blocking (yielding) while max_live_contexts()
-    /// contexts are attached. Called once per Executor (at construction)
-    /// and once per atomically() call, never mid-transaction.
-    virtual void attach(TxContext& /*cx*/) noexcept {}
+    /// Checks `cx` out: takes whatever the context needs while in use and
+    /// does not already keep — a table backend's TxId. Never blocks: false
+    /// means every TxId is held and nothing was taken; the runtime then
+    /// has idle contexts release() theirs and retries, so it waits only on
+    /// contexts in use. Called once per Executor (at construction) and once
+    /// per atomically() call, never mid-transaction.
+    [[nodiscard]] virtual bool attach(TxContext& /*cx*/) noexcept {
+        return true;
+    }
 
-    /// Returns what attach() took. Called between transactions only (no
-    /// metadata held); the context then idles in the pool until the next
-    /// attach, or is destroyed. A detached context must not depend on its
-    /// backend: the adaptive wrapper may destroy one after its engine.
+    /// Ends a checkout. Called between transactions only (no metadata
+    /// held); the context then idles in the pool until the next attach, or
+    /// is destroyed. Table backends keep the TxId here (release() gives it
+    /// back); the adaptive wrapper keeps nothing.
     virtual void detach(TxContext& /*cx*/) noexcept {}
+
+    /// Gives back what a detached context kept — its TxId. Called on idle
+    /// contexts only, by whoever holds the pool slot (or sole ownership of)
+    /// `cx`. A released context must not depend on its backend: the
+    /// adaptive wrapper may destroy one after its engine.
+    virtual void release(TxContext& /*cx*/) noexcept {}
+
+    /// The TxId `cx` holds, or nullopt when it holds none (tl2 never does;
+    /// an adaptive context binds one at its first transaction).
+    [[nodiscard]] virtual std::optional<ownership::TxId> tx_id(
+        const TxContext& /*cx*/) const noexcept {
+        return std::nullopt;
+    }
 
     /// Starts (or restarts) an attempt.
     virtual void begin(TxContext& cx) = 0;

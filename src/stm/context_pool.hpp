@@ -11,6 +11,14 @@
 // call has it out and is parked there again on return, so a checkout costs
 // one CAS and a return one store. An Executor gives its slot up; its
 // context claims a free one when the Executor is destroyed.
+//
+// An idle context may keep its backend's TxId (backend.hpp), so the slot's
+// release store and acquire CAS also hand the TxId, and whatever the
+// backend keys by it, from one thread to the next. The pool itself never
+// frees TxIds: the runtime visits idle contexts with for_each_idle to have
+// them released, and releases a context park() hands back before it is
+// destroyed. The destructor deletes idle contexts without releasing: their
+// backend goes with the pool.
 #pragma once
 
 #include <array>

@@ -252,7 +252,9 @@ public:
 
     /// Hands out an attached context: an idle pooled one when the calling
     /// thread's shard has one, else a new context, bound to the reclaim
-    /// domain (pin slot, magazines, shard) once, here.
+    /// domain (pin slot, magazines, shard) once, here. When every TxId is
+    /// kept by some context, the idle ones give theirs back, so the only
+    /// wait is on contexts in use.
     [[nodiscard]] std::unique_ptr<detail::TxContext> checkout(bool keep_slot) {
         auto cx = pool_.take(keep_slot);
         if (!cx) {
@@ -261,18 +263,29 @@ public:
             cx->cm_seed = cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
                                              std::memory_order_relaxed);
         }
-        backend_->attach(*cx);
+        for (bool released = false; !backend_->attach(*cx); released = true) {
+            if (released) std::this_thread::yield();
+            release_idle();
+        }
         return cx;
     }
 
-    /// Detaches `cx` (table backends: releases its TxId) and pools it with
-    /// its reclaim binding. Buffered retired blocks go to their shard
-    /// first, so an idle context never sits on unreclaimable memory.
+    /// Idle contexts give back the TxIds they kept.
+    void release_idle() noexcept {
+        pool_.for_each_idle(
+            [this](detail::TxContext& cx) { backend_->release(cx); });
+    }
+
+    /// Detaches `cx` and pools it with its reclaim binding and its TxId.
+    /// Buffered retired blocks go to their shard first, so an idle context
+    /// never sits on unreclaimable memory.
     void check_in(std::unique_ptr<detail::TxContext> cx) noexcept {
         reclaim_.flush_context(*cx);
         backend_->detach(*cx);
-        // A context the pool has no slot for is destroyed: fold its tally.
+        // A context the pool has no slot for is destroyed: release its
+        // TxId and fold its tally.
         if (auto homeless = pool_.park(std::move(cx))) {
+            backend_->release(*homeless);
             homeless->run_tally.fold_into(stats_);
         }
     }
@@ -441,14 +454,21 @@ detail::ReclaimDomain& Stm::reclaim_domain() noexcept {
 // Executor
 // ---------------------------------------------------------------------------
 
-Executor::Executor(Stm& stm)
-    : stm_(stm),
-      cx_(stm.impl_->checkout(/*keep_slot=*/false)) {}
+Executor::Executor(Stm& stm) : stm_(stm) {
+    // Idle contexts release their TxIds first, so Executors built in
+    // sequence bind TxIds 0..n-1 whatever atomically() calls ran before.
+    stm.impl_->release_idle();
+    cx_ = stm.impl_->checkout(/*keep_slot=*/false);
+}
 
 Executor::~Executor() { stm_.impl_->check_in(std::move(cx_)); }
 
 void Executor::run(detail::BodyRef body) { stm_.run_in(body, *cx_, shard_); }
 
 StmStats Executor::stats() const noexcept { return snapshot(shard_); }
+
+std::optional<std::uint32_t> Executor::tx_id() const noexcept {
+    return stm_.impl_->backend_->tx_id(*cx_);
+}
 
 }  // namespace tmb::stm

@@ -521,9 +521,9 @@ public:
     /// `fn` must be safe to re-execute (no irrevocable side effects).
     ///
     /// This convenience path checks a pooled backend context out per call
-    /// (for table backends: takes a transaction slot for the call) and
-    /// records into the instance-wide counters; threads on a hot path
-    /// should hold an Executor instead.
+    /// (for table backends the context keeps its transaction slot between
+    /// calls) and records into the instance-wide counters; threads on a hot
+    /// path should hold an Executor instead.
     template <typename F>
         requires std::invocable<F&, Transaction&>
     decltype(auto) atomically(F&& fn) {
@@ -533,7 +533,8 @@ public:
 
     /// Creates a per-thread execution handle (see Executor). At most
     /// max_live_executors() may be alive at once for table backends; one
-    /// more blocks until another is destroyed.
+    /// more blocks until another is destroyed. Executors made in sequence,
+    /// with no atomically() call in flight, bind TxIds 0..n-1.
     [[nodiscard]] std::unique_ptr<Executor> make_executor();
 
     /// Number of Executors (more generally: concurrently live transactions)
@@ -622,6 +623,10 @@ public:
 
     /// Snapshot of this executor's private shard only.
     [[nodiscard]] StmStats stats() const noexcept;
+
+    /// The ownership-table TxId this executor's transactions run under;
+    /// nullopt for tl2, and for adaptive before its first transaction.
+    [[nodiscard]] std::optional<std::uint32_t> tx_id() const noexcept;
 
 private:
     friend class Stm;

@@ -54,12 +54,10 @@ struct UndoEntry {
 using BlockModes = SmallMap<std::uint64_t, Mode>;
 using BlockSet = SmallSet<std::uint64_t>;
 
-/// Contexts hold a TxId only while attached (kNoSlot when idle).
-constexpr TxId kNoSlot = ownership::kMaxTx;
-
 class TableContext final : public TxContext {
 public:
-    TxId slot_ = kNoSlot;
+    /// Kept from attach until release (SlotPool::kNone before).
+    TxId slot_ = SlotPool::kNone;
     BlockModes modes_;
     std::vector<UndoEntry> undo_;
 };
@@ -76,16 +74,18 @@ public:
         return std::make_unique<TableContext>();
     }
 
-    void attach(TxContext& cx) noexcept override {
-        static_cast<TableContext&>(cx).slot_ = slots_.acquire();
+    bool attach(TxContext& cx) noexcept override {
+        return slots_.keep(static_cast<TableContext&>(cx).slot_);
     }
 
     /// held_blocks_[slot] is already empty: every attempt ends in commit or
     /// abort, and both clear it.
-    void detach(TxContext& cx_base) noexcept override {
-        auto& cx = static_cast<TableContext&>(cx_base);
-        slots_.release(cx.slot_);
-        cx.slot_ = kNoSlot;
+    void release(TxContext& cx) noexcept override {
+        slots_.give_back(static_cast<TableContext&>(cx).slot_);
+    }
+
+    std::optional<TxId> tx_id(const TxContext& cx) const noexcept override {
+        return SlotPool::held(static_cast<const TableContext&>(cx).slot_);
     }
 
     void begin(TxContext& cx_base) override {
@@ -204,7 +204,7 @@ private:
 
 class LazyTableContext final : public TxContext {
 public:
-    TxId slot_ = kNoSlot;
+    TxId slot_ = SlotPool::kNone;  ///< as in TableContext
     BlockModes held_;  ///< blocks owned (reads + commit-time writes)
     /// Redo buffer: one entry per address in first-write order (rewrites
     /// update in place), with the shared scan-then-index lookup.
@@ -223,16 +223,18 @@ public:
         return std::make_unique<LazyTableContext>();
     }
 
-    void attach(TxContext& cx) noexcept override {
-        static_cast<LazyTableContext&>(cx).slot_ = slots_.acquire();
+    bool attach(TxContext& cx) noexcept override {
+        return slots_.keep(static_cast<LazyTableContext&>(cx).slot_);
     }
 
-    /// As in TableBackend::detach: commit and abort leave held_blocks_
+    /// As in TableBackend::release: commit and abort leave held_blocks_
     /// empty.
-    void detach(TxContext& cx_base) noexcept override {
-        auto& cx = static_cast<LazyTableContext&>(cx_base);
-        slots_.release(cx.slot_);
-        cx.slot_ = kNoSlot;
+    void release(TxContext& cx) noexcept override {
+        slots_.give_back(static_cast<LazyTableContext&>(cx).slot_);
+    }
+
+    std::optional<TxId> tx_id(const TxContext& cx) const noexcept override {
+        return SlotPool::held(static_cast<const LazyTableContext&>(cx).slot_);
     }
 
     void begin(TxContext& cx_base) override {

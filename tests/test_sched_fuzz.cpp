@@ -390,6 +390,24 @@ TEST(Fuzz, SingleJobIsBitReproducible) {
     EXPECT_EQ(signatures[0], signatures[1]);
 }
 
+TEST(Fuzz, ShortCampaignStillMutatesAndKillChecks) {
+    // Shrink probes take at most half the budget. Without that cap, eight
+    // new signatures in the seed phase, each shrunk with up to 24 probes,
+    // spend all 200 runs before the mutation loop and its kill points.
+    const HarnessConfig cfg = default_workload("table", "tagless", false, false);
+    Corpus corpus;
+    FuzzOptions opts;
+    opts.budget = 200;
+    opts.seed = 3;
+    opts.kill_every = 8;
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
+    EXPECT_TRUE(result.violations.empty())
+        << result.violations.front().message;
+    EXPECT_EQ(result.runs, opts.budget);
+    EXPECT_GT(result.kill_checks, 0u);
+    EXPECT_GT(result.new_coverage_mutants, 0u);
+}
+
 TEST(Fuzz, ReachesAdaptiveDecisionSites) {
     // Reachability, not luck: under policy=cycle with a 2-commit epoch the
     // rotation visits engine swaps AND table resizes within a run, and the

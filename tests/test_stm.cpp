@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -462,15 +463,9 @@ TEST(StmRuntime, SequentialTransactionsReuseSlots) {
     EXPECT_EQ(x.unsafe_read(), 200);
 }
 
-TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
-    // Idle pooled contexts hold no TxId. Fill the pool from more threads
-    // than there are TxIds (each thread's first call waits until
-    // max_live_executors() of them are checked out at once, so that many
-    // contexts get built and pooled), then hold max_live_executors()
-    // Executors at once, each with a transaction run. If a pooled context
-    // kept its TxId, either step would block forever; a bounded wait turns
-    // that into a failure.
-    constexpr int kThreads = 72;
+/// One config per engine: the three table organizations, the lazy table,
+/// tl2, and the adaptive wrapper over the table and atomic engines.
+std::vector<StmConfig> every_engine() {
     std::vector<StmConfig> configs;
     for (const BackendKind kind :
          {BackendKind::kTaglessTable, BackendKind::kTaggedTable,
@@ -484,7 +479,20 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
         configs.push_back(config_for(BackendKind::kAdaptive));
         configs.back().adapt.engine = engine;
     }
-    for (const StmConfig& cfg : configs) {
+    return configs;
+}
+
+TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
+    // Idle pooled contexts keep their TxIds, and give them back when a
+    // checkout finds none free and before an Executor is built. Fill the
+    // pool from more threads than there are TxIds (each thread's first
+    // call waits until max_live_executors() of them are checked out at
+    // once, so that many contexts get built and pooled), then hold
+    // max_live_executors() Executors at once, each with a transaction run.
+    // If a kept TxId were never given back, either step would block
+    // forever; a bounded wait turns that into a failure.
+    constexpr int kThreads = 72;
+    for (const StmConfig& cfg : every_engine()) {
         const std::string name(to_string(cfg.backend));
         Stm tm(cfg);
         const std::uint32_t cap =
@@ -538,6 +546,111 @@ TEST(StmRuntime, FullContextPoolCannotStarveExecutors) {
         for (const auto& var : vars) total += var.v.unsafe_read();
         EXPECT_EQ(total, kThreads * 4 + static_cast<long>(cap)) << name;
         EXPECT_EQ(tm.occupied_metadata_entries(), 0u) << name;
+    }
+}
+
+/// `threads` threads each finish one atomically() call; the first `held`
+/// of them are checked out at once, so every TxId they hold is parked in
+/// an idle pooled context when they return (or released, for a context the
+/// pool has no room for).
+void park_txids_in_idle_contexts(Stm& tm, int threads, std::uint32_t held) {
+    std::vector<PaddedVar> vars(static_cast<std::size_t>(threads));
+    std::atomic<std::uint32_t> arrived{0};
+    std::atomic<std::uint32_t> waiting{held};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            bool first = true;
+            tm.atomically([&](Transaction& tx) {
+                if (first && arrived.fetch_add(1) < held) {
+                    waiting.fetch_sub(1);
+                    while (waiting.load() != 0) std::this_thread::yield();
+                }
+                first = false;
+                auto& var = vars[static_cast<std::size_t>(t)].v;
+                var.write(tx, var.read(tx) + 1);
+            });
+        });
+    }
+    for (auto& th : workers) th.join();
+}
+
+TEST(StmRuntime, TxIdsKeptByIdleContextsCannotStarveACheckout) {
+    // Every TxId ends up kept by an idle context or an Executor. Then one
+    // Executor is destroyed: its context parks in this thread's shard with
+    // its TxId, the only one not held by a live Executor. Fresh threads'
+    // atomically() calls (at least one of them in another shard) can run
+    // only if the checkout that finds no TxId free has idle contexts give
+    // theirs back; a bounded wait turns a stall into a failure.
+    constexpr int kThreads = 64;
+    constexpr int kFresh = 4;
+    for (const StmConfig& cfg : every_engine()) {
+        const std::string name(to_string(cfg.backend));
+        Stm tm(cfg);
+        const std::uint32_t cap =
+            std::min<std::uint32_t>(tm.max_live_executors(), kThreads);
+        park_txids_in_idle_contexts(tm, kThreads, cap);
+
+        PaddedVar var;
+        std::vector<std::unique_ptr<Executor>> executors;
+        for (std::uint32_t i = 0; i < cap; ++i) {
+            executors.push_back(tm.make_executor());
+            executors.back()->atomically(
+                [&](Transaction& tx) { var.v.write(tx, var.v.read(tx) + 1); });
+        }
+        executors.pop_back();
+
+        std::atomic<int> done{0};
+        std::vector<std::thread> fresh;
+        for (int t = 0; t < kFresh; ++t) {
+            fresh.emplace_back([&] {
+                tm.atomically([&](Transaction& tx) {
+                    var.v.write(tx, var.v.read(tx) + 1);
+                });
+                done.fetch_add(1);
+            });
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (done.load() != kFresh &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(done.load(), kFresh)
+            << name << ": a checkout stalled while an idle context kept the "
+                       "only free TxId";
+        executors.clear();  // frees TxIds, so stalled threads can finish
+        for (auto& th : fresh) th.join();
+        EXPECT_EQ(var.v.unsafe_read(), static_cast<long>(cap) + kFresh)
+            << name;
+        EXPECT_EQ(tm.occupied_metadata_entries(), 0u) << name;
+    }
+}
+
+TEST(StmRuntime, ExecutorsBuiltInSequenceBindTxIdsFromZero) {
+    // The determinism contract of the schedule harness and the service:
+    // Executors made one after another bind TxIds 0..n-1, also after other
+    // threads' atomically() calls left TxIds kept by idle contexts.
+    constexpr int kThreads = 16;
+    constexpr std::uint32_t kExecutors = 8;
+    for (const StmConfig& cfg : every_engine()) {
+        const std::string name(to_string(cfg.backend));
+        Stm tm(cfg);
+        park_txids_in_idle_contexts(tm, kThreads, kThreads);
+        PaddedVar var;
+        std::vector<std::unique_ptr<Executor>> executors;
+        for (std::uint32_t i = 0; i < kExecutors; ++i) {
+            executors.push_back(tm.make_executor());
+            executors.back()->atomically(
+                [&](Transaction& tx) { var.v.write(tx, var.v.read(tx) + 1); });
+            const std::optional<std::uint32_t> id = executors.back()->tx_id();
+            if (cfg.backend == BackendKind::kTl2) {
+                EXPECT_FALSE(id.has_value()) << name;
+            } else {
+                EXPECT_EQ(id, std::optional<std::uint32_t>{i})
+                    << name << ": executor " << i;
+            }
+        }
     }
 }
 
