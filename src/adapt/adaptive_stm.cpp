@@ -41,15 +41,14 @@ using Clock = std::chrono::steady_clock;
 /// the registry) keeps construction allocation-minimal and cannot recurse
 /// into the adaptive entry.
 [[nodiscard]] std::unique_ptr<Backend> build_engine(const StmConfig& cfg,
-                                                    SharedStats& stats,
+                                                    Instrumentation& stats,
                                                     ReclaimDomain& reclaim) {
     switch (cfg.backend) {
         case BackendKind::kTl2: return make_tl2_backend(cfg, stats, reclaim);
         case BackendKind::kTaglessAtomic:
-            return make_atomic_backend(cfg, stats, reclaim);
         case BackendKind::kTaglessTable:
         case BackendKind::kTaggedTable:
-            return make_table_backend(cfg, stats, reclaim);
+            return make_ownership_backend(cfg, stats, reclaim);
         case BackendKind::kAdaptive: break;
     }
     throw std::logic_error("adaptive: inner engine must be concrete");
@@ -105,7 +104,7 @@ public:
 
 class AdaptiveBackend final : public Backend {
 public:
-    AdaptiveBackend(const StmConfig& config, SharedStats& stats,
+    AdaptiveBackend(const StmConfig& config, Instrumentation& stats,
                     ReclaimDomain& reclaim)
         : outer_(config),
           policy_(adapt::policy_config_from(config.adapt)),
@@ -423,7 +422,7 @@ private:
     StmConfig outer_;
     StmConfig initial_;  ///< concrete home shape (outer_ with adapt.engine)
     adapt::PolicyConfig policy_;
-    SharedStats& stats_;
+    Instrumentation& stats_;
     ReclaimDomain& reclaim_;
     std::uint32_t capacity_ = 0;
 
@@ -438,7 +437,7 @@ private:
 }  // namespace
 
 std::unique_ptr<Backend> make_adaptive_backend(const StmConfig& config,
-                                               SharedStats& stats,
+                                               Instrumentation& stats,
                                                ReclaimDomain& reclaim) {
     return std::make_unique<AdaptiveBackend>(config, stats, reclaim);
 }

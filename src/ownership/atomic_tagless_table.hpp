@@ -24,9 +24,10 @@
 // load and store; whatever hands TxIds between threads must order one
 // holder's last call before the next holder's first, as a release/acquire
 // pair does. In the STM a TxId, and with it its counter shard, moves
-// between threads two ways: through the SlotPool's release and acquire,
-// and, kept by an idle pooled context, through the context pool slot's
-// release store and acquire CAS.
+// between threads two ways: through the SlotPool word (release's
+// release-ordered fetch_and, try_acquire's acquire CAS), and, kept by an
+// idle pooled context, through the context pool slot's release store and
+// acquire CAS.
 #pragma once
 
 #include <array>

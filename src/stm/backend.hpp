@@ -7,8 +7,8 @@
 //
 // Context lifecycle: make_context() builds a context once; the runtime then
 // checks it out (attach) for an Executor's lifetime or one atomically()
-// call, and returns it (detach) to a pool of idle contexts. A table or
-// atomic backend's context keeps its TxId (ownership-table slot) through
+// call, and returns it (detach) to a pool of idle contexts. An ownership
+// engine's context keeps its TxId (ownership-table slot) through
 // detach, so a thread that keeps calling atomically() on its pooled
 // context touches the shared slot pool only once. The runtime takes kept
 // TxIds back (release) from idle contexts when an attach finds none free,
@@ -36,10 +36,6 @@
 #include "stm/txalloc.hpp"
 
 namespace tmb::stm::detail {
-
-/// Legacy name for the unified instrumentation block (instrumentation.hpp);
-/// one set of counters per Stm instance, shared by backend and runtime.
-using SharedStats = Instrumentation;
 
 /// Per-transaction state; concrete type owned by the backend.
 class TxContext {
@@ -150,13 +146,12 @@ public:
     /// Rolls back after ConflictAbort (or failed commit cleanup is internal).
     virtual void abort(TxContext& cx) = 0;
 
-    /// Largest number of contexts that can be attached simultaneously
-    /// without attach() blocking — the table's TxId capacity for table
-    /// backends (62 for atomic_tagless, else 64); unbounded for tl2. The
+    /// Largest number of contexts that can be attached at once: the
+    /// ownership engine's `table.max_tx()` (62 for the atomic table, 64
+    /// for the mutex tables); unbounded for tl2, which holds no TxId. Past
+    /// it attach() returns false until a context is released. The
     /// execution engine validates its thread count against this.
-    [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept {
-        return ownership::kMaxTx;
-    }
+    [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept = 0;
 
     /// Currently held conflict-metadata entries (ownership-table occupancy;
     /// 0 for backends without a table). Exact only at quiescent points; the
@@ -178,15 +173,15 @@ public:
 // engines ignore it (the attempt loop applies TxMemLogs centrally); the
 // adaptive wrapper drains it before retiring a swapped-out engine.
 [[nodiscard]] std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                                        SharedStats& stats,
+                                                        Instrumentation& stats,
                                                         ReclaimDomain& reclaim);
-[[nodiscard]] std::unique_ptr<Backend> make_table_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
-[[nodiscard]] std::unique_ptr<Backend> make_atomic_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
+/// The ownership-table engine (ownership_backend.cpp) for the `table` and
+/// `atomic` kinds: the table and the lock timing follow from `config`.
+[[nodiscard]] std::unique_ptr<Backend> make_ownership_backend(
+    const StmConfig& config, Instrumentation& stats, ReclaimDomain& reclaim);
 /// The epoch-based policy layer (src/adapt/adaptive_stm.cpp); wraps one of
 /// the engines above per StmConfig::adapt.
 [[nodiscard]] std::unique_ptr<Backend> make_adaptive_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
+    const StmConfig& config, Instrumentation& stats, ReclaimDomain& reclaim);
 
 }  // namespace tmb::stm::detail

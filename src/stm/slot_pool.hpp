@@ -5,16 +5,15 @@
 // id's bit and all threads share it, so backends keep it off the per-call
 // path: a context keeps the id it took across checkouts (backend.hpp), and
 // the pool is touched only when a context without an id is checked out or
-// an idle context gives its id back. try_acquire() never blocks — the
-// runtime reacts to exhaustion by having idle contexts release their ids;
-// acquire() yields until an id is free.
+// an idle context gives its id back. Nothing here blocks: try_acquire()
+// returns nullopt when every id is in use, and the runtime reacts by
+// having idle contexts release their ids.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <thread>
 
 #include "ownership/ownership.hpp"
 
@@ -40,14 +39,6 @@ public:
                                             std::memory_order_relaxed)) {
                 return slot;
             }
-        }
-    }
-
-    /// The lowest free id, yielding while every id is in use.
-    [[nodiscard]] ownership::TxId acquire() noexcept {
-        for (;;) {
-            if (const auto slot = try_acquire()) return *slot;
-            std::this_thread::yield();
         }
     }
 

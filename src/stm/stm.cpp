@@ -21,26 +21,26 @@ namespace {
 /// the conflict-detection metadata lives in StmConfig (`table` backends
 /// cover both tagless and tagged ownership tables).
 using BackendRegistry =
-    config::Registry<detail::Backend, const StmConfig&, detail::SharedStats&,
+    config::Registry<detail::Backend, const StmConfig&, detail::Instrumentation&,
                      detail::ReclaimDomain&>;
 
 BackendRegistry& backend_registry() {
     static const bool bootstrapped = [] {
         auto& r = BackendRegistry::instance();
         r.add_default("tl2", [](const config::Config&, const StmConfig& c,
-                        detail::SharedStats& s, detail::ReclaimDomain& d) {
+                        detail::Instrumentation& s, detail::ReclaimDomain& d) {
             return detail::make_tl2_backend(c, s, d);
         });
         r.add_default("table", [](const config::Config&, const StmConfig& c,
-                          detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_table_backend(c, s, d);
+                          detail::Instrumentation& s, detail::ReclaimDomain& d) {
+            return detail::make_ownership_backend(c, s, d);
         });
         r.add_default("atomic", [](const config::Config&, const StmConfig& c,
-                           detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_atomic_backend(c, s, d);
+                           detail::Instrumentation& s, detail::ReclaimDomain& d) {
+            return detail::make_ownership_backend(c, s, d);
         });
         r.add_default("adaptive", [](const config::Config&, const StmConfig& c,
-                             detail::SharedStats& s, detail::ReclaimDomain& d) {
+                             detail::Instrumentation& s, detail::ReclaimDomain& d) {
             return detail::make_adaptive_backend(c, s, d);
         });
         return true;
@@ -291,7 +291,7 @@ public:
     }
 
     StmConfig config_;
-    detail::SharedStats stats_;
+    detail::Instrumentation stats_;
     // Declared before backend_ and pool_: contexts unregister their pin
     // slots and the adaptive wrapper drains retired blocks, so the domain
     // must be destroyed after both.

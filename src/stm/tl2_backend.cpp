@@ -55,7 +55,7 @@ class Tl2Backend;
 
 class Tl2Context final : public TxContext {
 public:
-    explicit Tl2Context(SharedStats& stats) : stats_(stats) {}
+    explicit Tl2Context(Instrumentation& stats) : stats_(stats) {}
     ~Tl2Context() override { flush_stats(); }
 
     /// Below this size read-set dedup uses a linear scan — for the common
@@ -120,14 +120,14 @@ public:
     }
 
 private:
-    SharedStats& stats_;
+    Instrumentation& stats_;
     SeenFilter<> read_seen_;
     bool read_filter_on_ = false;
 };
 
 class Tl2Backend final : public Backend {
 public:
-    Tl2Backend(const StmConfig& config, SharedStats& stats)
+    Tl2Backend(const StmConfig& config, Instrumentation& stats)
         : stats_(stats),
           gv5_(config.tl2_clock == Tl2Clock::kGv5),
           lock_mask_(util::next_pow2(config.tl2_locks) - 1),
@@ -342,7 +342,7 @@ private:
         return true;
     }
 
-    SharedStats& stats_;
+    Instrumentation& stats_;
     const bool gv5_;
     std::atomic<std::uint64_t> clock_{0};
     std::uint64_t lock_mask_;
@@ -352,7 +352,7 @@ private:
 }  // namespace
 
 std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                          SharedStats& stats,
+                                          Instrumentation& stats,
                                           ReclaimDomain& /*reclaim*/) {
     return std::make_unique<Tl2Backend>(config, stats);
 }

@@ -1,7 +1,7 @@
 // txlocal.hpp — allocation-free transaction-local containers.
 //
 // Every STM backend keeps per-transaction metadata (block → mode caches,
-// held-block footprints, read-set dedup state). The std::unordered_map /
+// footprint-log spills, read-set dedup state). The std::unordered_map /
 // std::unordered_set containers used originally pay one heap allocation per
 // inserted node — on the *per-access fast path*, which is exactly the cost
 // the paper's ownership-table argument says must not exist. These containers
@@ -171,7 +171,7 @@ private:
     std::vector<std::uint32_t> order_;  ///< live slot indices, insertion order
 };
 
-/// Set facade over SmallMap (the backends' held-block footprints).
+/// Set facade over SmallMap (the ownership engine's footprint spill).
 template <typename K, std::size_t kInlineSlots = 16,
           typename Epoch = std::uint32_t>
 class SmallSet {
@@ -198,8 +198,8 @@ private:
 /// read-your-own-write lookup. Below kScanThreshold entries lookups are
 /// backward linear scans (for the common tiny transaction a handful of
 /// L1-hot compares beats any hashing); past it an addr → index SmallMap is
-/// seeded once and maintained. Shared by the TL2 write set and the lazy
-/// table backend's redo buffer.
+/// seeded once and maintained. Shared by the TL2 write set and the
+/// ownership engine's lazy redo log.
 class WriteLog {
 public:
     struct Entry {

@@ -674,14 +674,30 @@ TEST(StmRuntime, ContextsThePoolCannotTakeFoldTheirCounts) {
     for (const auto& var : vars) EXPECT_EQ(var.v.unsafe_read(), 2);
 }
 
-TEST(StmAtomic, ClassifiesConflictsAgainstTheHoldersFootprint) {
+/// Both tagless tables under the eager ownership engine: the mutex table
+/// (exact classification) and the atomic one (best-effort, exact here:
+/// the holder does not move while probed). Lazy locking stays out: a lazy
+/// holder owns its blocks only for reading until commit, so a read probe
+/// cannot conflict with it.
+class StmFootprint : public ::testing::TestWithParam<BackendKind> {};
+
+INSTANTIATE_TEST_SUITE_P(TaglessTables, StmFootprint,
+                         ::testing::Values(BackendKind::kTaglessTable,
+                                           BackendKind::kTaglessAtomic),
+                         [](const auto& suite_info) {
+                             return suite_info.param == BackendKind::kTaglessTable
+                                        ? "Tagless"
+                                        : "TaglessAtomic";
+                         });
+
+TEST_P(StmFootprint, ClassifiesConflictsAgainstTheHoldersFootprint) {
     // One transaction holds more blocks than its footprint log keeps
     // inline (32), so the last ones are recorded in the spill. Each probe
     // by a second transaction (one attempt, no retry) fails on an entry
     // the holder owns; the holder's footprint decides true vs false.
     constexpr std::uint64_t kEntries = 64;
     constexpr std::uint64_t kHeld = 40;
-    StmConfig cfg = config_for(BackendKind::kTaglessAtomic);
+    StmConfig cfg = config_for(GetParam());
     cfg.table = {.entries = kEntries, .hash = util::HashKind::kShiftMask};
     cfg.max_attempts = 1;
     cfg.contention.policy = ContentionPolicy::kNone;
